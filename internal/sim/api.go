@@ -6,8 +6,9 @@
 // observer in the current round.
 //
 // Agent algorithms are ordinary Go functions written in blocking style
-// against *API. The agent↔engine contract is an instruction contract the
-// engine can reason about: TakePort submits a one-round move, while
+// against *API; the engine runs each one as a coroutine that suspends at
+// every instruction it submits. The agent↔engine contract is an instruction
+// contract the engine can reason about: TakePort submits a one-round move, while
 // WaitRounds(x) and WaitUntil(cond) submit a single bulk wait instruction —
 // not x per-round handoffs — annotated with the declarative Conditions
 // (condition.go) that may cut the wait short. Because the engine sees wait
@@ -63,23 +64,30 @@ type Report struct {
 	Gossip map[string]int `json:"gossip,omitempty"` // message -> multiplicity, for gossip algorithms
 }
 
-// Program is a complete agent algorithm. It runs in its own goroutine and
-// perceives the world only through the API. Returning from the program is the
-// model's "declare": the agent halts at its current node.
+// Program is a complete agent algorithm. The engine runs it as a coroutine:
+// each API call that spends rounds suspends the program until the engine
+// resumes it with the observation of the round the call ends in, so the
+// program runs only while the engine waits for it. It perceives the world
+// only through the API. Returning from the program is the model's
+// "declare": the agent halts at its current node.
 type Program func(a *API) Report
 
-// API is the world interface of a single agent. It is owned by the agent's
-// goroutine; methods must not be called from elsewhere.
+// API is the world interface of a single agent. It belongs to the agent's
+// program; methods must not be called from anywhere else.
 type API struct {
 	label int
-	obs   observation
-	obsCh chan observation
-	mvCh  chan instruction
-	quit  chan struct{}
+	obs   observation            // written by the engine before each resume
+	yield func(instruction) bool // suspends the program; false once the run stopped
 
 	oracleSize int // see OracleGraphSize
 
-	frames []*interruptFrame
+	frames []armedCond // conditions of the active RunUntil blocks, outermost first
+
+	// Per-instruction buffers, reused for every instruction: the engine
+	// reads an instruction's walk and conditions only while the agent is
+	// suspended on it.
+	walkBuf walkSpec
+	condBuf []armedCond
 }
 
 // Label returns this agent's own label (a positive integer). Agents never
@@ -110,28 +118,20 @@ func (a *API) Wait() {
 
 // WaitRounds waits for x consecutive rounds (the paper's "wait x rounds").
 //
-// The whole wait is submitted to the engine as ONE instruction: unless a
-// closure predicate (RunInterruptible) is active, the agent goroutine is not
-// scheduled again until the wait expires or an enclosing declarative
-// condition (RunUntil) fires — at which point the usual interrupt unwinding
-// happens exactly as it would under per-round stepping.
+// The whole wait is submitted to the engine as ONE instruction: the program
+// is not resumed until the wait expires or an enclosing condition (RunUntil)
+// fires — at which point the usual interrupt unwinding happens exactly as it
+// would under per-round stepping.
 func (a *API) WaitRounds(x int) {
 	for x > 0 {
-		if a.hasClosurePredicate() {
-			// Escape hatch: an opaque predicate must be re-evaluated by the
-			// agent against every round's observation.
-			a.step(instruction{port: -1, rounds: 1})
-			x--
-			continue
-		}
-		x -= a.bulkWait(x, nil)
+		x -= a.bulkWait(x)
 	}
 }
 
 // WaitUntil waits until cond holds, evaluating it against the observation of
 // each new round reached (and against the current observation on entry, where
 // a true condition makes the call free). It returns the number of rounds
-// waited. The wait is engine-evaluated: the agent goroutine sleeps in a
+// waited. The wait is engine-evaluated: the program stays suspended in a
 // single bulk instruction until the engine observes the condition.
 //
 // A condition that can never fire stalls the agent; the run then terminates
@@ -165,30 +165,27 @@ func (a *API) waitCond(cond Condition, budget int) (waited int, fired bool) {
 		if budget >= 0 {
 			rem = budget - waited
 		}
-		if a.hasClosurePredicate() {
-			a.step(instruction{port: -1, rounds: 1})
-			waited++
-			continue
-		}
-		waited += a.bulkWait(rem, []armedCond{ac})
+		waited += a.bulkWait(rem, ac)
 	}
 }
 
 // bulkWait submits one wait instruction of up to x rounds (unbounded when
-// x < 0), attaching every active declarative interrupt condition plus extra,
-// and returns the number of rounds actually waited. On wake it re-checks the
-// interrupt frames, so a fired RunUntil condition unwinds exactly as under
-// per-round stepping.
-func (a *API) bulkWait(x int, extra []armedCond) int {
-	conds := extra
-	for _, f := range a.frames {
-		conds = append(conds, f.armed)
-	}
+// x < 0), attaching every active RunUntil condition plus extra, and returns
+// the number of rounds actually waited. On wake it re-checks the interrupt
+// frames, so a fired RunUntil condition unwinds exactly as under per-round
+// stepping.
+func (a *API) bulkWait(x int, extra ...armedCond) int {
 	before := a.obs.localRound
-	a.submit(instruction{port: -1, rounds: x, conds: conds})
-	a.receive()
+	a.submit(instruction{port: -1, rounds: x, conds: a.armed(extra)})
 	a.checkInterrupts()
 	return a.obs.localRound - before
+}
+
+// armed returns the conditions of every active RunUntil frame plus extra,
+// in condBuf.
+func (a *API) armed(extra []armedCond) []armedCond {
+	a.condBuf = append(append(a.condBuf[:0], extra...), a.frames...)
+	return a.condBuf
 }
 
 // TakePort leaves the current node through port p and returns the port of
@@ -196,7 +193,8 @@ func (a *API) bulkWait(x int, extra []armedCond) int {
 // with an error: the algorithms under study never do this, so it is treated
 // as a bug, not an agent-visible event.
 func (a *API) TakePort(p int) (entryPort int) {
-	a.step(instruction{port: p})
+	a.submit(instruction{port: p})
+	a.checkInterrupts()
 	return a.obs.entryPort
 }
 
@@ -209,27 +207,15 @@ func (a *API) TakePort(p int) (entryPort int) {
 //
 // The whole walk is ONE engine-side instruction: the engine computes each
 // port itself, so no agent handoff happens until the walk completes or an
-// enclosing declarative condition (RunUntil) fires — interrupting mid-walk
-// exactly as per-round stepping would. An active closure predicate
-// (RunInterruptible) falls back to per-round moves.
+// enclosing condition (RunUntil) fires — interrupting mid-walk exactly as
+// per-round stepping would. The returned entries are a fresh slice the
+// caller owns.
 func (a *API) WalkOffsets(offsets []int) (entries []int, minCard int) {
 	if len(offsets) == 0 {
 		return nil, a.obs.curCard
 	}
-	if a.hasClosurePredicate() {
-		entries = make([]int, 0, len(offsets))
-		minCard = maxInt
-		entry := 0
-		for _, x := range offsets {
-			entry = a.TakePort((entry + x) % a.obs.degree)
-			entries = append(entries, entry)
-			if a.obs.curCard < minCard {
-				minCard = a.obs.curCard
-			}
-		}
-		return entries, minCard
-	}
-	return a.bulkWalk(&walkSpec{offsets: offsets})
+	a.walkBuf = walkSpec{offsets: offsets}
+	return a.bulkWalk()
 }
 
 // WalkPorts performs len(ports) moves, one per round, taking the given ports
@@ -240,31 +226,16 @@ func (a *API) WalkPorts(ports []int) (entries []int, minCard int) {
 	if len(ports) == 0 {
 		return nil, a.obs.curCard
 	}
-	if a.hasClosurePredicate() {
-		entries = make([]int, 0, len(ports))
-		minCard = maxInt
-		for _, p := range ports {
-			entries = append(entries, a.TakePort(p))
-			if a.obs.curCard < minCard {
-				minCard = a.obs.curCard
-			}
-		}
-		return entries, minCard
-	}
-	return a.bulkWalk(&walkSpec{ports: ports})
+	a.walkBuf = walkSpec{ports: ports}
+	return a.bulkWalk()
 }
 
-// bulkWalk submits one walk instruction with every active declarative
-// interrupt condition attached, then re-checks the frames on wake so a fired
-// RunUntil condition unwinds the walk mid-flight, exactly as under per-round
+// bulkWalk submits the walk in walkBuf as one instruction with every active
+// RunUntil condition attached, then re-checks the frames on wake so a fired
+// condition unwinds the walk mid-flight, exactly as under per-round
 // stepping.
-func (a *API) bulkWalk(spec *walkSpec) (entries []int, minCard int) {
-	var conds []armedCond
-	for _, f := range a.frames {
-		conds = append(conds, f.armed)
-	}
-	a.submit(instruction{port: -1, walk: spec, conds: conds})
-	a.receive()
+func (a *API) bulkWalk() (entries []int, minCard int) {
+	a.submit(instruction{port: -1, walk: &a.walkBuf, conds: a.armed(nil)})
 	entries, minCard = a.obs.walkEntries, a.obs.walkMin
 	a.checkInterrupts()
 	return entries, minCard
@@ -279,49 +250,19 @@ func (a *API) bulkWalk(spec *walkSpec) (entries []int, minCard int) {
 // must only be called by the est package.
 func (a *API) OracleGraphSize() int { return a.oracleSize }
 
-// hasClosurePredicate reports whether any active interrupt frame carries an
-// opaque Go predicate, which only the agent goroutine can evaluate and which
-// therefore forces per-round stepping.
-func (a *API) hasClosurePredicate() bool {
-	for _, f := range a.frames {
-		if f.pred != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// step submits a one-round instruction and blocks until the engine delivers
-// the next round's observation. It then re-checks all active interruption
-// predicates (innermost first).
-func (a *API) step(in instruction) {
-	a.submit(in)
-	a.receive()
-	a.checkInterrupts()
-}
-
+// submit hands in to the engine and suspends the program until the engine
+// resumes it with the observation of the round the instruction ends in
+// (already in a.obs on return). A false yield means the run stopped early:
+// panicking errRunAborted unwinds the program, RunUntil frames included.
 func (a *API) submit(in instruction) {
-	select {
-	case a.mvCh <- in:
-	case <-a.quit:
+	if !a.yield(in) {
 		panic(errRunAborted)
 	}
 }
 
-func (a *API) receive() {
-	select {
-	case obs, ok := <-a.obsCh:
-		if !ok {
-			panic(errRunAborted)
-		}
-		a.obs = obs
-	case <-a.quit:
-		panic(errRunAborted)
-	}
-}
-
-// errRunAborted unwinds an agent goroutine when the engine stops early
-// (max-rounds exceeded or another agent failed). Recovered by the runner.
+// errRunAborted unwinds a suspended program when the engine stops early
+// (max-rounds exceeded or another agent failed). The program's coroutine
+// recovers it (engine.go).
 var errRunAborted = fmt.Errorf("sim: run aborted")
 
 // maxInt is the identity of min over CurCard observations.

@@ -1,20 +1,16 @@
 package sim
 
 // Condition is a declarative wake/interrupt predicate the engine can evaluate
-// on its own, without round-tripping through the agent goroutine. Conditions
-// are what make bulk waits interruptible at zero per-round cost, and — because
-// the engine can also reason about when a Condition could possibly fire — what
-// allows the event-driven core to fast-forward the global clock over long
-// all-idle stretches (see engine.go).
+// on its own, without resuming the agent's program. Conditions are what make
+// bulk waits interruptible at zero per-round cost, and — because the engine
+// can also reason about when a Condition could possibly fire — what allows
+// the event-driven core to fast-forward the global clock over long all-idle
+// stretches (see engine.go). They are the only interrupt form: RunUntil and
+// WaitUntil take a Condition.
 //
 // A Condition is evaluated against the observation of each new round reached
-// while a wait is in progress, exactly like a RunInterruptible predicate. The
-// zero Condition is invalid; construct values only with CardAtLeast,
-// CardChanged, LocalRoundReached and Any.
-//
-// Closure predicates (RunInterruptible) remain available as an escape hatch
-// for conditions the engine cannot inspect; an active closure forces the
-// agent back to per-round stepping.
+// while a wait is in progress. The zero Condition is invalid; construct
+// values only with CardAtLeast, CardChanged, LocalRoundReached and Any.
 type Condition struct {
 	kind condKind
 	k    int

@@ -153,9 +153,9 @@ func TestAnyCondition(t *testing.T) {
 }
 
 func TestRunUntilInterruptsBulkWait(t *testing.T) {
-	// The declarative twin of TestRunInterruptible: agent 2 arrives in round
-	// 2; agent 1 is inside RunUntil with a 1000-round bulk wait and must
-	// break out exactly then — without stepping 1000 rounds.
+	// Agent 2 arrives in round 2; agent 1 is inside RunUntil with a
+	// 1000-round bulk wait and must break out exactly then — without
+	// stepping 1000 rounds.
 	g := graph.Path(3)
 	var interruptedAt int
 	watcher := func(a *API) Report {
@@ -204,34 +204,6 @@ func TestRunUntilOnEntry(t *testing.T) {
 	}
 	if _, err := Run(Scenario{Graph: g, Agents: []AgentSpec{{Label: 1, Start: 0, WakeRound: 0, Program: prog}}}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNestedRunUntilAndClosure(t *testing.T) {
-	// A declarative outer frame must unwind through an inner closure frame,
-	// and vice versa.
-	g := graph.TwoNodes()
-	var outerHit, innerHit bool
-	prog := func(a *API) Report {
-		outerHit = a.RunUntil(
-			LocalRoundReached(3),
-			func(a *API) {
-				innerHit = a.RunInterruptible(
-					func(a *API) bool { return a.LocalRound() >= 5 },
-					func(a *API) { a.WaitRounds(100) },
-				)
-			},
-		)
-		return Report{}
-	}
-	if _, err := Run(Scenario{Graph: g, Agents: []AgentSpec{{Label: 1, Start: 0, WakeRound: 0, Program: prog}}}); err != nil {
-		t.Fatal(err)
-	}
-	if !outerHit {
-		t.Error("outer declarative frame should have interrupted")
-	}
-	if innerHit {
-		t.Error("inner closure frame should not report interruption (outer unwound it)")
 	}
 }
 

@@ -177,57 +177,3 @@ func TestDifferentialSkipIsReal(t *testing.T) {
 		t.Errorf("no fast-forward win: stepped %d of %d simulated rounds", res.SteppedRounds, res.Rounds)
 	}
 }
-
-// TestDifferentialClosureVsCondition runs the same interruptible program
-// once with a closure predicate (per-round stepping) and once with the
-// equivalent declarative Condition (engine-evaluated) and demands identical
-// results — the direct equivalence of the two evaluation paths.
-func TestDifferentialClosureVsCondition(t *testing.T) {
-	g := graph.Path(3)
-	build := func(declarative bool) sim.Scenario {
-		watcher := func(a *sim.API) sim.Report {
-			c := a.CurCard()
-			var hit bool
-			block := func(a *sim.API) { a.WaitRounds(1000) }
-			if declarative {
-				hit = a.RunUntil(sim.CardAtLeast(c+1), block)
-			} else {
-				hit = a.RunInterruptible(func(a *sim.API) bool { return a.CurCard() > c }, block)
-			}
-			if !hit {
-				t.Error("block should have been interrupted")
-			}
-			a.WaitRounds(3)
-			return sim.Report{}
-		}
-		walker := func(a *sim.API) sim.Report {
-			a.WaitRounds(5)
-			a.TakePort(0) // 2 -> 1
-			a.TakePort(0) // 1 -> 0
-			return sim.Report{}
-		}
-		return sim.Scenario{
-			Graph: g,
-			Agents: []sim.AgentSpec{
-				{Label: 1, Start: 0, WakeRound: 0, Program: watcher},
-				{Label: 2, Start: 2, WakeRound: 0, Program: walker},
-			},
-		}
-	}
-	closure, err := sim.Run(build(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cond, err := sim.Run(build(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(closure.Agents, cond.Agents) || closure.Rounds != cond.Rounds {
-		t.Errorf("closure and condition runs diverge:\n closure:   %+v (rounds %d)\n condition: %+v (rounds %d)",
-			closure.Agents, closure.Rounds, cond.Agents, cond.Rounds)
-	}
-	if cond.SteppedRounds >= closure.SteppedRounds {
-		t.Errorf("condition run stepped %d rounds, expected fewer than closure's %d",
-			cond.SteppedRounds, closure.SteppedRounds)
-	}
-}

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 	"sync/atomic"
 
@@ -141,20 +142,43 @@ type agentState struct {
 	wokeAt    int
 	halted    bool
 	haltRound int
-	report    Report
-	started   bool // goroutine launched
-	finished  bool // goroutine exited and its done message was consumed
-	doneCh    chan agentDone
+	report    Report // set by the program's coroutine when the program returns
+	err       error  // set by the program's coroutine when the program panics
 
-	// Pending bulk instruction: while sleeping, the agent goroutine is
-	// blocked and the engine advances it without any channel traffic.
+	// next resumes the program's coroutine (nil until the agent first
+	// runs). It returns the next instruction submitted, or false once the
+	// program has returned or panicked.
+	next func() (instruction, bool)
+
+	// Pending bulk instruction: while sleeping, the program stays suspended
+	// and the engine advances it without resuming it.
 	sleeping bool
 	resumeAt int         // global round to deliver the next observation; -1 = only a condition wakes it
 	conds    []armedCond // armed wake conditions, engine-evaluated
-	walk     *walkState  // in-progress bulk walk, one engine-computed move per round
+	walk     walkState   // in-progress bulk walk (walk.spec != nil), one engine-computed move per round
 }
 
-// walkState is the engine-side progress of one bulk walk instruction.
+// start turns the agent's program into a coroutine and sets st.next. The
+// returned stop ends a program still suspended on an instruction — its
+// submit panics errRunAborted, which unwinds it — and returns once the
+// coroutine has exited; after the program has ended it does nothing.
+func (st *agentState) start() (stop func()) {
+	st.next, stop = iter.Pull(func(yield func(instruction) bool) {
+		defer func() {
+			// A panic must not propagate through next: report it as the
+			// agent's failure instead.
+			if r := recover(); r != nil && r != errRunAborted {
+				st.err = fmt.Errorf("agent program panicked: %v", r)
+			}
+		}()
+		st.api.yield = yield
+		st.report = st.spec.Program(st.api)
+	})
+	return stop
+}
+
+// walkState is the engine-side progress of one bulk walk instruction. Each
+// agent has one, reset for every walk.
 type walkState struct {
 	spec    *walkSpec
 	i       int   // next move index
@@ -202,15 +226,21 @@ func (st *agentState) wakesNow(r int, obs observation) bool {
 // Run executes the scenario to completion (all agents halted) and returns the
 // result. It is deterministic: identical scenarios produce identical traces.
 //
-// The engine is event-driven: agents submit bulk wait instructions (see
-// api.go), so a sleeping agent costs nothing per round, and when every awake
-// agent is mid-wait and no engine-evaluable condition, wait expiry or
-// scheduled wake-up can fire before round R, the global clock jumps straight
-// to R. Observations are invariant while nobody moves — positions, and hence
-// every CurCard, are frozen — so the fast-forward is unobservable to agents.
-// The engine falls back to per-round stepping whenever Scenario.OnRound is
-// set (the hook must see every round) or an agent keeps itself live through a
-// closure predicate (RunInterruptible) or per-round calls.
+// Each agent's program runs as an iter.Pull coroutine: the engine resumes it
+// with an observation and waits while it runs to its next instruction (see
+// api.go) or returns, so programs never run concurrently with the engine or
+// with each other. No program outlives Run; one still suspended when the run
+// fails is unwound before Run returns.
+//
+// The engine is event-driven: agents submit bulk wait instructions, so a
+// sleeping agent costs nothing per round, and when every awake agent is
+// mid-wait and no engine-evaluable condition, wait expiry or scheduled
+// wake-up can fire before round R, the global clock jumps straight to R.
+// Observations are invariant while nobody moves — positions, and hence every
+// CurCard, are frozen — so the fast-forward is unobservable to agents. The
+// engine falls back to per-round stepping whenever Scenario.OnRound is set
+// (the hook must see every round) or an agent keeps itself live through
+// per-round calls.
 func Run(sc Scenario) (*RunResult, error) {
 	if err := Validate(sc); err != nil {
 		return nil, err
@@ -221,20 +251,6 @@ func Run(sc Scenario) (*RunResult, error) {
 	}
 	n := len(sc.Agents)
 	states := make([]*agentState, n)
-	quit := make(chan struct{})
-	defer func() {
-		close(quit)
-		// Unblock and drain every started goroutine so none leaks. Agents
-		// whose done message was already consumed (halted, panicked or
-		// failed) have no goroutine left to drain — waiting on them would
-		// deadlock.
-		for _, st := range states {
-			if st.started && !st.finished {
-				drain(st)
-			}
-		}
-	}()
-
 	for i, spec := range sc.Agents {
 		states[i] = &agentState{
 			spec:      spec,
@@ -242,13 +258,7 @@ func Run(sc Scenario) (*RunResult, error) {
 			entryPort: -1,
 			wokeAt:    -1,
 			haltRound: -1,
-			api: &API{
-				label:      spec.Label,
-				obsCh:      make(chan observation, 1),
-				mvCh:       make(chan instruction, 1),
-				quit:       quit,
-				oracleSize: sc.Graph.N(),
-			},
+			api:       &API{label: spec.Label, oracleSize: sc.Graph.N()},
 		}
 	}
 
@@ -312,10 +322,10 @@ func Run(sc Scenario) (*RunResult, error) {
 		}
 		// Deliver observations and collect instructions, in fixed agent
 		// order. Sleeping agents whose wait neither expires nor fires are
-		// passed over without any goroutine handoff.
+		// passed over without resuming their programs.
 		moves = moves[:0]
 		allHalted := true
-		for _, st := range states {
+		for i, st := range states {
 			if st.halted {
 				continue
 			}
@@ -330,7 +340,7 @@ func Run(sc Scenario) (*RunResult, error) {
 				curCard:    cardAt[st.node],
 			}
 			if st.sleeping {
-				if w := st.walk; w != nil {
+				if w := &st.walk; w.spec != nil {
 					// Every round of a walk is post-move: fold the fresh
 					// CurCard into the walk minimum before wake checks.
 					if obs.curCard < w.minCard {
@@ -351,7 +361,7 @@ func Run(sc Scenario) (*RunResult, error) {
 					// agent with the (possibly partial) results attached.
 					obs.walkEntries = w.entries
 					obs.walkMin = w.minCard
-					st.walk = nil
+					*w = walkState{}
 				} else if !st.wakesNow(r, obs) {
 					allHalted = false
 					continue
@@ -359,21 +369,19 @@ func Run(sc Scenario) (*RunResult, error) {
 				st.sleeping = false
 				st.conds = nil
 			}
-			if !st.started {
-				st.started = true
-				launch(st, obs)
-			} else {
-				st.api.obsCh <- obs
+			st.api.obs = obs
+			if st.next == nil {
+				stop := st.start()
+				defer stop()
 			}
-			in, halt, rep, err := await(st)
-			if err != nil {
+			in, ok := st.next()
+			if st.err != nil {
 				return nil, fmt.Errorf("sim: agent %d (label %d) failed in round %d: %w",
-					indexOf(states, st), st.spec.Label, r, err)
+					i, st.spec.Label, r, st.err)
 			}
-			if halt {
+			if !ok {
 				st.halted = true
 				st.haltRound = r
-				st.report = rep
 				lastHalt = r
 				continue
 			}
@@ -388,7 +396,8 @@ func Run(sc Scenario) (*RunResult, error) {
 				st.resumeAt = r + 1
 				st.conds = nil
 			} else if in.walk != nil {
-				w := &walkState{spec: in.walk, minCard: maxInt}
+				w := &st.walk
+				*w = walkState{spec: in.walk, minCard: maxInt}
 				w.entries = make([]int, 0, w.steps())
 				port, err := w.nextPort(sc.Graph, st.node)
 				if err != nil {
@@ -399,7 +408,6 @@ func Run(sc Scenario) (*RunResult, error) {
 				st.sleeping = true
 				st.resumeAt = -1 // woken by walk completion or a condition
 				st.conds = in.conds
-				st.walk = w
 			} else {
 				rounds := in.rounds
 				if rounds == 0 {
@@ -420,7 +428,7 @@ func Run(sc Scenario) (*RunResult, error) {
 			to, entry := sc.Graph.Traverse(mv.st.node, mv.port)
 			mv.st.node = to
 			mv.st.entryPort = entry
-			if w := mv.st.walk; w != nil {
+			if w := &mv.st.walk; w.spec != nil {
 				w.entries = append(w.entries, entry)
 				w.entry = entry
 			}
@@ -482,7 +490,7 @@ func nextEventRound(states []*agentState, r int, cardAt []int, maxRounds int) in
 		}
 		// Every awake non-halted agent is sleeping at this point: each
 		// interaction ends with a halt or a new pending instruction.
-		if st.walk != nil {
+		if st.walk.spec != nil {
 			// Unreachable in practice: a mid-walk agent moved this round, and
 			// any move forces stepping to r+1 before this function is called.
 			consider(r + 1)
@@ -506,71 +514,6 @@ func nextEventRound(states []*agentState, r int, cardAt []int, maxRounds int) in
 		return maxRounds + 1
 	}
 	return next
-}
-
-// agentDone is the message an agent goroutine posts when its program ends.
-type agentDone struct {
-	report Report
-	err    error
-}
-
-func launch(st *agentState, first observation) {
-	st.api.obs = first
-	doneCh := make(chan agentDone, 1)
-	st.doneCh = doneCh
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if err, ok := r.(error); ok && errors.Is(err, errRunAborted) {
-					doneCh <- agentDone{err: errRunAborted}
-					return
-				}
-				doneCh <- agentDone{err: fmt.Errorf("agent program panicked: %v", r)}
-			}
-		}()
-		rep := st.spec.Program(st.api)
-		doneCh <- agentDone{report: rep}
-	}()
-}
-
-// await blocks until the agent either issues an instruction or halts.
-func await(st *agentState) (in instruction, halt bool, rep Report, err error) {
-	select {
-	case in = <-st.api.mvCh:
-		return in, false, Report{}, nil
-	case d := <-st.doneCh:
-		st.finished = true
-		if d.err != nil {
-			return instruction{}, false, Report{}, d.err
-		}
-		return instruction{}, true, d.report, nil
-	}
-}
-
-// drain unblocks a still-running goroutine after quit is closed.
-func drain(st *agentState) {
-	if st.doneCh == nil {
-		return
-	}
-	for {
-		select {
-		case <-st.api.mvCh:
-			// The goroutine may be blocked sending an instruction; consume
-			// it. After quit closes, its next step panics with errRunAborted.
-		case d := <-st.doneCh:
-			_ = d
-			return
-		}
-	}
-}
-
-func indexOf(states []*agentState, target *agentState) int {
-	for i, st := range states {
-		if st == target {
-			return i
-		}
-	}
-	return -1
 }
 
 // Validate checks a scenario up front — duplicate or non-positive labels,

@@ -209,87 +209,39 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestRunInterruptible(t *testing.T) {
-	// Agent 2 arrives at agent 1's node in round 2; agent 1 is inside an
-	// interruptible wait-forever block with predicate CurCard > 1 and must
-	// break out exactly then.
-	g := graph.Path(3)
-	var interruptedAt int
-	watcher := func(a *API) Report {
-		c := a.CurCard()
-		hit := a.RunInterruptible(
-			func(a *API) bool { return a.CurCard() > c },
-			func(a *API) { a.WaitRounds(1000) },
-		)
-		if !hit {
-			t.Error("block should have been interrupted")
-		}
-		interruptedAt = a.LocalRound()
-		return Report{}
-	}
-	walker := func(a *API) Report {
-		a.TakePort(0) // 2 -> 1
-		a.TakePort(0) // 1 -> 0
-		return Report{}
-	}
-	_, err := Run(Scenario{
-		Graph: g,
-		Agents: []AgentSpec{
-			{Label: 1, Start: 0, WakeRound: 0, Program: watcher},
-			{Label: 2, Start: 2, WakeRound: 0, Program: walker},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if interruptedAt != 2 {
-		t.Errorf("interrupted at local round %d, want 2", interruptedAt)
-	}
-}
-
 func TestNestedInterrupts(t *testing.T) {
-	// Outer predicate triggers at local round 3, inner at local round 5:
-	// the outer interruption must unwind through the inner frame.
-	g := graph.TwoNodes()
-	var outerHit, innerHit bool
-	prog := func(a *API) Report {
-		outerHit = a.RunInterruptible(
-			func(a *API) bool { return a.LocalRound() >= 3 },
-			func(a *API) {
-				innerHit = a.RunInterruptible(
-					func(a *API) bool { return a.LocalRound() >= 5 },
-					func(a *API) { a.WaitRounds(100) },
-				)
-			},
-		)
-		return Report{}
+	// RunUntil inside RunUntil: the frame whose condition holds first
+	// interrupts. An outer interruption unwinds through the inner frame
+	// mid-walk; an inner one hands control back to the outer block, whose
+	// own condition then cuts the following wait short.
+	cases := []struct {
+		outer, inner       int // LocalRoundReached thresholds
+		outerHit, innerHit bool
+		at                 int // local round after the outer RunUntil
+	}{
+		{outer: 3, inner: 5, outerHit: true, innerHit: false, at: 3},
+		{outer: 5, inner: 2, outerHit: true, innerHit: true, at: 5},
 	}
-	_, err := Run(Scenario{Graph: g, Agents: []AgentSpec{{Label: 1, Start: 0, WakeRound: 0, Program: prog}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !outerHit {
-		t.Error("outer frame should have interrupted")
-	}
-	if innerHit {
-		t.Error("inner frame should not report interruption (outer unwound it)")
-	}
-}
-
-func TestInterruptOnEntry(t *testing.T) {
-	g := graph.TwoNodes()
-	prog := func(a *API) Report {
-		hit := a.RunInterruptible(
-			func(a *API) bool { return true },
-			func(a *API) { t.Error("block must not run"); a.Wait() },
-		)
-		if !hit {
-			t.Error("want immediate interruption")
+	for _, tc := range cases {
+		var outerHit, innerHit bool
+		var at int
+		prog := func(a *API) Report {
+			outerHit = a.RunUntil(LocalRoundReached(tc.outer), func(a *API) {
+				innerHit = a.RunUntil(LocalRoundReached(tc.inner), func(a *API) {
+					a.WalkOffsets(make([]int, 100))
+				})
+				a.WaitRounds(100)
+			})
+			at = a.LocalRound()
+			return Report{}
 		}
-		return Report{}
-	}
-	if _, err := Run(Scenario{Graph: g, Agents: []AgentSpec{{Label: 1, Start: 0, WakeRound: 0, Program: prog}}}); err != nil {
-		t.Fatal(err)
+		if _, err := Run(Scenario{Graph: graph.Ring(4), Agents: []AgentSpec{{Label: 1, Start: 0, WakeRound: 0, Program: prog}}}); err != nil {
+			t.Fatal(err)
+		}
+		if outerHit != tc.outerHit || innerHit != tc.innerHit || at != tc.at {
+			t.Errorf("outer %d, inner %d: outerHit=%v innerHit=%v at local round %d, want %v %v %d",
+				tc.outer, tc.inner, outerHit, innerHit, at, tc.outerHit, tc.innerHit, tc.at)
+		}
 	}
 }
 

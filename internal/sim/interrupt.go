@@ -1,23 +1,7 @@
 package sim
 
-// interruptFrame tracks one active interruptible scope: either a declarative
-// RunUntil frame (armed Condition, engine-evaluable) or a RunInterruptible
-// frame (opaque closure, forces per-round stepping).
-type interruptFrame struct {
-	id    int
-	pred  func(*API) bool // closure escape hatch; nil for declarative frames
-	armed armedCond       // declarative condition; valid iff pred == nil
-}
-
-// fires evaluates the frame's predicate against the agent's current
-// observation.
-func (f *interruptFrame) fires(a *API) bool {
-	if f.pred != nil {
-		return f.pred(a)
-	}
-	return f.armed.holds(a.obs.curCard, a.obs.localRound)
-}
-
+// interruptSignal unwinds the program to the RunUntil frame at index id of
+// API.frames.
 type interruptSignal struct{ id int }
 
 // RunUntil executes block, aborting it as soon as cond holds at a round
@@ -29,65 +13,41 @@ type interruptSignal struct{ id int }
 // false if it ran to completion.
 //
 // Because cond is declarative, the engine evaluates it on the engine side:
-// bulk waits inside the block stay single instructions and the event-driven
-// core keeps fast-forwarding the clock (see engine.go). This is the preferred
-// replacement for RunInterruptible; keep closures only for predicates the
-// Condition algebra cannot express.
+// bulk waits and walks inside the block stay single instructions and the
+// event-driven core keeps fast-forwarding the clock (see engine.go).
 //
-// Frames nest (RunUntil and RunInterruptible freely mixed): an inner frame is
-// checked before an outer one, and an outer interruption correctly unwinds
-// through inner frames.
+// Frames nest: an inner frame is checked before an outer one, and an outer
+// interruption correctly unwinds through inner frames.
 func (a *API) RunUntil(cond Condition, block func(*API)) (interrupted bool) {
 	if !cond.valid() {
 		panic("sim: invalid Condition (use the condition constructors)")
 	}
-	return a.runFrame(&interruptFrame{armed: armedCond{c: cond, base: a.obs.curCard}}, block)
-}
-
-// RunInterruptible executes block, aborting it as soon as pred holds at a
-// round boundary inside the block. The predicate is evaluated against the
-// observation of each new round reached while the block runs, and also on
-// entry. It returns true if the block was interrupted, false if it ran to
-// completion.
-//
-// pred is an opaque closure the engine cannot inspect, so while any
-// RunInterruptible frame is active the agent is stepped round by round —
-// every Wait costs a full agent↔engine handoff and the clock cannot be
-// fast-forwarded past the agent. Prefer RunUntil with a declarative
-// Condition; this closure form remains as the escape hatch for predicates
-// outside the Condition algebra.
-func (a *API) RunInterruptible(pred func(*API) bool, block func(*API)) (interrupted bool) {
-	return a.runFrame(&interruptFrame{pred: pred}, block)
-}
-
-// runFrame pushes frame, runs block under it, and handles the interrupt
-// unwinding shared by RunUntil and RunInterruptible.
-func (a *API) runFrame(frame *interruptFrame, block func(*API)) (interrupted bool) {
-	frame.id = len(a.frames)
-	a.frames = append(a.frames, frame)
+	ac := armedCond{c: cond, base: a.obs.curCard}
+	if ac.holds(a.obs.curCard, a.obs.localRound) {
+		return true
+	}
+	id := len(a.frames)
+	a.frames = append(a.frames, ac)
 	defer func() {
 		// Pop our frame regardless of how the block exits.
-		a.frames = a.frames[:frame.id]
+		a.frames = a.frames[:id]
 		if r := recover(); r != nil {
 			sig, ok := r.(interruptSignal)
-			if !ok || sig.id != frame.id {
+			if !ok || sig.id != id {
 				panic(r) // not ours: propagate (outer frame or real panic)
 			}
 			interrupted = true
 		}
 	}()
-	if frame.fires(a) {
-		return true
-	}
 	block(a)
 	return false
 }
 
-// checkInterrupts fires the innermost satisfied predicate, if any.
+// checkInterrupts fires the innermost satisfied frame, if any.
 func (a *API) checkInterrupts() {
 	for i := len(a.frames) - 1; i >= 0; i-- {
-		if a.frames[i].fires(a) {
-			panic(interruptSignal{id: a.frames[i].id})
+		if a.frames[i].holds(a.obs.curCard, a.obs.localRound) {
+			panic(interruptSignal{id: i})
 		}
 	}
 }

@@ -53,7 +53,7 @@ func (s *Schedule) PassLen() int { return s.BlockLen() * len(s.pattern) }
 // Run executes the schedule for exactly the given number of rounds, cycling
 // over the pattern as needed. The agent may end anywhere in the graph; the
 // paper's Algorithm 3 follows a TZ run with a full EXPLO, which works from
-// any node. Interruption (via sim.RunInterruptible wrapping the caller) may
+// any node. Interruption (via sim.API.RunUntil wrapping the caller) may
 // abandon the walk mid-flight, which is the intended semantics.
 func (s *Schedule) Run(a *sim.API, rounds int) {
 	e := s.seq.EffectiveLen()

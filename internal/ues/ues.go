@@ -18,6 +18,8 @@
 package ues
 
 import (
+	"slices"
+
 	"nochatter/internal/graph"
 	"nochatter/internal/sim"
 )
@@ -171,7 +173,8 @@ func (w *Walker) StepBacktrack() bool {
 // handoffs instead of 2·E.
 func (s *Sequence) Explo(a *sim.API) {
 	entries, _ := a.WalkOffsets(s.offsets)
-	a.WalkPorts(reversed(entries))
+	slices.Reverse(entries) // entries are fresh per walk: reverse in place
+	a.WalkPorts(entries)
 }
 
 // ExploMinCard runs a full EXPLO and returns the smallest CurCard observed
@@ -183,7 +186,8 @@ func (s *Sequence) ExploMinCard(a *sim.API) int {
 	if m < min {
 		min = m
 	}
-	if _, m = a.WalkPorts(reversed(entries)); m < min {
+	slices.Reverse(entries)
+	if _, m = a.WalkPorts(entries); m < min {
 		min = m
 	}
 	return min
@@ -201,15 +205,7 @@ func (s *Sequence) ExploPartial(a *sim.API, n int) {
 	}
 	entries, _ := a.WalkOffsets(s.offsets[:eff])
 	if back := n - e; back > 0 {
-		a.WalkPorts(reversed(entries)[:back])
+		slices.Reverse(entries)
+		a.WalkPorts(entries[:back])
 	}
-}
-
-// reversed returns a new slice with the elements in reverse order.
-func reversed(xs []int) []int {
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[len(xs)-1-i] = x
-	}
-	return out
 }

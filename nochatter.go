@@ -59,11 +59,13 @@
 // paper's astronomically long waiting phases cost almost nothing to
 // simulate. RunResult.SteppedRounds reports the rounds actually processed.
 //
-// Migration note: API.RunInterruptible(pred, block) with an opaque Go
-// predicate still works but pins its agent to per-round stepping. Replace
-// predicates of the form "CurCard() > c" with RunUntil(CardAtLeast(c+1),
-// block), and stability waits with WaitUntilFor(CardChanged(), d); keep the
-// closure form only for predicates the Condition algebra cannot express.
+// Migration note: API.RunInterruptible(pred, block), the closure form that
+// pinned its agent to per-round stepping, is gone; RunUntil with a
+// declarative Condition is the only interrupt form. Replace predicates of
+// the form "CurCard() > c" with RunUntil(CardAtLeast(c+1), block), and
+// stability waits with WaitUntilFor(CardChanged(), d). Agent programs run
+// as coroutines the engine resumes once per instruction, never concurrently
+// with each other.
 //
 // # Batch runs
 //

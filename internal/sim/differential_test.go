@@ -54,18 +54,21 @@ func TestDifferentialGather(t *testing.T) {
 		labels []int
 		starts []int
 		wakes  []int // nil = all zero
+		woken  []int // expected WokenRound per agent; nil = not checked
 	}
 	cases := []tc{
-		{"two-nodes", graph.TwoNodes(), []int{1, 2}, []int{0, 1}, nil},
-		{"ring6", graph.Ring(6), []int{3, 5, 9}, []int{0, 2, 4}, nil},
-		{"ring8-delayed", graph.Ring(8), []int{5, 9}, []int{0, 4}, []int{0, 37}},
-		{"path5-dormant", graph.Path(5), []int{2, 7}, []int{0, 4}, []int{0, sim.DormantUntilVisited}},
-		{"star5", graph.Star(5), []int{1, 2, 3}, []int{1, 2, 3}, nil},
-		{"grid3x3-dormant", graph.Grid(3, 3), []int{4, 6}, []int{0, 8}, []int{0, sim.DormantUntilVisited}},
-		{"hypercube3", graph.Hypercube(3), []int{1, 2}, []int{0, 7}, nil},
-		{"gnp8", graph.GNP(8, 0.3, 5), []int{5, 11}, []int{0, 7}, nil},
-		{"torus3x3-delayed", graph.Torus(3, 3), []int{2, 9}, []int{0, 4}, []int{0, 11}},
-		{"tree9", graph.RandomTree(9, 3), []int{6, 8}, []int{0, 8}, []int{0, 25}},
+		{"two-nodes", graph.TwoNodes(), []int{1, 2}, []int{0, 1}, nil, nil},
+		{"ring6", graph.Ring(6), []int{3, 5, 9}, []int{0, 2, 4}, nil, nil},
+		{"ring8-delayed", graph.Ring(8), []int{5, 9}, []int{0, 4}, []int{0, 37}, nil},
+		{"path5-dormant", graph.Path(5), []int{2, 7}, []int{0, 4}, []int{0, sim.DormantUntilVisited}, nil},
+		{"star5", graph.Star(5), []int{1, 2, 3}, []int{1, 2, 3}, nil, nil},
+		{"grid3x3-dormant", graph.Grid(3, 3), []int{4, 6}, []int{0, 8}, []int{0, sim.DormantUntilVisited}, nil},
+		{"hypercube3", graph.Hypercube(3), []int{1, 2}, []int{0, 7}, nil, nil},
+		{"gnp8", graph.GNP(8, 0.3, 5), []int{5, 11}, []int{0, 7}, nil, nil},
+		{"torus3x3-delayed", graph.Torus(3, 3), []int{2, 9}, []int{0, 4}, []int{0, 11}, nil},
+		{"tree9", graph.RandomTree(9, 3), []int{6, 8}, []int{0, 8}, []int{0, 25}, nil},
+		// A visit in round 3 wakes the agent the adversary scheduled for 50.
+		{"path4-visited-before-wake", graph.Path(4), []int{3, 6}, []int{0, 3}, []int{0, 50}, []int{0, 3}},
 	}
 	for _, c := range cases {
 		c := c
@@ -89,6 +92,11 @@ func TestDifferentialGather(t *testing.T) {
 			}
 			if len(res.Leaders()) != 1 {
 				t.Errorf("%s: leader split %v", c.name, res.Leaders())
+			}
+			for i, w := range c.woken {
+				if got := res.Agents[i].WokenRound; got != w {
+					t.Errorf("%s: agent %d woke in round %d, want %d", c.name, i, got, w)
+				}
 			}
 		})
 	}

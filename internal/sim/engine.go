@@ -11,10 +11,14 @@ import (
 )
 
 // DormantUntilVisited marks an agent that the adversary never wakes: it
-// starts only when another agent first visits its start node.
+// starts only when a woken agent first visits its start node.
 const DormantUntilVisited = -1
 
 // AgentSpec describes one agent of a scenario.
+//
+// An agent that is not yet awake wakes at its adversarial wake round or in
+// the first round a woken agent stands on its start node, whichever comes
+// first: the adversary chooses wake rounds, but a visit always wakes.
 type AgentSpec struct {
 	Label     int // positive, unique within the scenario
 	Start     int // start node, unique within the scenario
@@ -285,8 +289,9 @@ func Run(sc Scenario) (*RunResult, error) {
 			return nil, fmt.Errorf("%w (%d)", ErrMaxRounds, maxRounds)
 		}
 		steppedRounds++
-		// Wake-ups: adversary first, then visit-triggered. A dormant agent is
-		// woken when an already-woken agent occupies its start node.
+		// Wake-ups: an agent not yet awake wakes at its adversarial wake
+		// round, or when an already-woken agent occupies its start node,
+		// whichever comes first.
 		for _, st := range states {
 			occupiedByWoken[st.node] = false
 		}
@@ -299,7 +304,7 @@ func Run(sc Scenario) (*RunResult, error) {
 			if st.awake || st.halted {
 				continue
 			}
-			if st.spec.WakeRound == r || (st.spec.WakeRound == DormantUntilVisited && occupiedByWoken[st.node]) {
+			if st.spec.WakeRound == r || occupiedByWoken[st.node] {
 				st.awake = true
 				st.wokeAt = r
 			}
@@ -483,9 +488,9 @@ func nextEventRound(states []*agentState, r int, cardAt []int, maxRounds int) in
 			if st.spec.WakeRound > r {
 				consider(st.spec.WakeRound)
 			}
-			// DormantUntilVisited cannot newly trigger while positions are
-			// frozen; a wake caused by this round's moves is covered by the
-			// movers' resumeAt of r+1.
+			// A visit cannot newly wake an agent while positions are frozen;
+			// a wake caused by this round's moves is covered by the movers'
+			// resumeAt of r+1.
 			continue
 		}
 		// Every awake non-halted agent is sleeping at this point: each

@@ -305,6 +305,33 @@ func TestDelayedWake(t *testing.T) {
 	}
 }
 
+func TestVisitWakesScheduledAgent(t *testing.T) {
+	// Agent 2 is scheduled to wake in round 50, but agent 1 reaches its
+	// start node in round 3: the visit wakes it then.
+	g := graph.Path(3)
+	res, err := Run(Scenario{
+		Graph: g,
+		Agents: []AgentSpec{
+			{Label: 1, Start: 0, WakeRound: 0, Program: func(a *API) Report {
+				a.WaitRounds(2)
+				a.TakePort(0) // node 0 -> node 1, arriving in round 3
+				a.WaitRounds(5)
+				return Report{}
+			}},
+			{Label: 2, Start: 1, WakeRound: 50, Program: haltAfter(1)},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Agents[1].WokenRound; got != 3 {
+		t.Errorf("visited agent woke in round %d, want 3", got)
+	}
+	if got := res.Agents[1].HaltRound; got != 4 {
+		t.Errorf("visited agent halted in round %d, want 4", got)
+	}
+}
+
 func TestAgentPanicFailsRunWithoutHanging(t *testing.T) {
 	// A panicking agent program must surface as a run error promptly; the
 	// cleanup path must not try to drain the already-exited goroutine.

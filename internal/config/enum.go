@@ -21,6 +21,9 @@ import (
 // doubly-exponential hypothesis schedule makes larger true sizes unreachable
 // in simulation anyway (that exponential growth is itself one of the paper's
 // claims, reproduced in experiment E8).
+//
+// An Enumerator is not safe for concurrent use: At and IndexOf generate
+// budgets lazily into a shared cache.
 type Enumerator struct {
 	maxN  int
 	cache []*Configuration

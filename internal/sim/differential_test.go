@@ -148,9 +148,11 @@ func TestDifferentialUnknownBound(t *testing.T) {
 	sched := unknown.NewSchedule(p)
 	for _, h := range []int{1, 3, 4} {
 		h := h
+		// Resolved here, not in the parallel subtest: a Schedule is not
+		// safe for concurrent use.
+		cfg := sched.Config(h)
 		t.Run(fmt.Sprintf("phi%d", h), func(t *testing.T) {
 			t.Parallel()
-			cfg := sched.Config(h)
 			res := runBoth(t, fmt.Sprintf("phi%d", h),
 				sim.Scenario{Graph: cfg.G, Agents: unknown.ScenarioFor(cfg, p)})
 			if !res.AllHaltedTogether() {

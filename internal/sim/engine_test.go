@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -333,8 +334,8 @@ func TestVisitWakesScheduledAgent(t *testing.T) {
 }
 
 func TestAgentPanicFailsRunWithoutHanging(t *testing.T) {
-	// A panicking agent program must surface as a run error promptly; the
-	// cleanup path must not try to drain the already-exited goroutine.
+	// A panicking agent program must surface as a run error promptly, and
+	// stopping the other agent, suspended mid-wait, must not hang.
 	g := graph.Ring(4)
 	sc := Scenario{
 		Graph: g,
@@ -361,5 +362,61 @@ func TestAgentPanicFailsRunWithoutHanging(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run hung after agent panic (drain deadlock)")
+	}
+}
+
+// TestAbortedRunsLeaveNoGoroutines runs scenarios that fail while agent
+// programs are suspended, again and again, and checks that the goroutine
+// count is back at its baseline each time Run returns: Run must unwind
+// every suspended program before it returns.
+func TestAbortedRunsLeaveNoGoroutines(t *testing.T) {
+	waiter := func(a *API) Report {
+		a.WaitUntil(CardAtLeast(99))
+		return Report{}
+	}
+	cases := []struct {
+		name string
+		sc   Scenario
+		want error // nil: any error
+	}{
+		{"max rounds", Scenario{Graph: graph.Path(4), MaxRounds: 100, Agents: []AgentSpec{
+			// Bounces between nodes 0 and 1, mid-walk inside RunUntil
+			// when the budget runs out.
+			{Label: 1, Start: 0, WakeRound: 0, Program: func(a *API) Report {
+				a.RunUntil(CardAtLeast(99), func(a *API) { a.WalkPorts(make([]int, 1000)) })
+				return Report{}
+			}},
+			{Label: 2, Start: 2, WakeRound: 0, Program: waiter},
+			{Label: 3, Start: 3, WakeRound: DormantUntilVisited, Program: waiter},
+		}}, ErrMaxRounds},
+		{"bad port mid-walk", Scenario{Graph: graph.Path(4), Agents: []AgentSpec{
+			{Label: 1, Start: 0, WakeRound: 0, Program: func(a *API) Report {
+				a.WalkPorts([]int{0, 0, 7})
+				return Report{}
+			}},
+			{Label: 2, Start: 3, WakeRound: 0, Program: waiter},
+		}}, nil},
+		{"panic", Scenario{Graph: graph.Path(4), Agents: []AgentSpec{
+			{Label: 1, Start: 0, WakeRound: 0, Program: func(a *API) Report {
+				a.WaitRounds(3)
+				panic("agent bug")
+			}},
+			{Label: 2, Start: 3, WakeRound: 0, Program: func(a *API) Report {
+				a.RunUntil(CardAtLeast(99), func(a *API) { a.WaitRounds(1000) })
+				return Report{}
+			}},
+		}}, nil},
+	}
+	base := runtime.NumGoroutine()
+	for _, c := range cases {
+		for rep := 0; rep < 20; rep++ {
+			_, err := Run(c.sc)
+			if err == nil || (c.want != nil && !errors.Is(err, c.want)) {
+				t.Fatalf("%s: got error %v, want %v", c.name, err, c.want)
+			}
+			if n := runtime.NumGoroutine(); n != base {
+				t.Fatalf("%s, run %d: %d goroutines after Run returned, %d before", c.name, rep, n, base)
+			}
+		}
 	}
 }

@@ -97,7 +97,8 @@ type Dims struct {
 
 // Schedule lazily computes Dims for h = 1, 2, ... and caches the hypothesis
 // configurations. Each agent owns one Schedule; determinism of the
-// enumeration makes all agents agree.
+// enumeration makes all agents agree. A Schedule is not safe for concurrent
+// use: even read-looking calls such as Config and Dim fill its caches.
 type Schedule struct {
 	params  Params
 	enum    *config.Enumerator

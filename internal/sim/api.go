@@ -7,15 +7,15 @@
 //
 // Agent algorithms are ordinary Go functions written in blocking style
 // against *API; the engine runs each one as a coroutine that suspends at
-// every instruction it submits. The agent↔engine contract is an instruction
-// contract the engine can reason about: TakePort submits a one-round move, while
-// WaitRounds(x) and WaitUntil(cond) submit a single bulk wait instruction —
-// not x per-round handoffs — annotated with the declarative Conditions
-// (condition.go) that may cut the wait short. Because the engine sees wait
-// intent and interruption conditions up front, it can fast-forward the
-// global clock over stretches in which every awake agent is idle
-// (engine.go), which is what makes the paper's astronomically wait-heavy
-// algorithms simulable at scale.
+// every instruction it submits. The agent↔engine contract is an
+// instruction contract the engine can reason about: TakePort submits a
+// one-round move, while WaitRounds(x) and WaitUntil(cond) submit a single
+// bulk wait instruction — not x per-round handoffs — annotated with the
+// declarative Conditions (condition.go) that may cut the wait short.
+// Because the engine sees wait intent and interruption conditions up front,
+// it can fast-forward the global clock over stretches in which every awake
+// agent is idle (engine.go), which is what makes the paper's astronomically
+// wait-heavy algorithms simulable at scale.
 package sim
 
 import "fmt"

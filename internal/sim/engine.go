@@ -158,7 +158,7 @@ type agentState struct {
 	// and the engine advances it without resuming it.
 	sleeping bool
 	resumeAt int         // global round to deliver the next observation; -1 = only a condition wakes it
-	conds    []armedCond // armed wake conditions, engine-evaluated
+	conds    []armedCond // armed wake conditions, engine-evaluated (the agent's API.condBuf)
 	walk     walkState   // in-progress bulk walk (walk.spec != nil), one engine-computed move per round
 }
 
@@ -184,11 +184,11 @@ func (st *agentState) start() (stop func()) {
 // walkState is the engine-side progress of one bulk walk instruction. Each
 // agent has one, reset for every walk.
 type walkState struct {
-	spec    *walkSpec
-	i       int   // next move index
-	entry   int   // UXS-rule entry state (offsets mode), 0 at walk start
-	entries []int // entry ports recorded so far
-	minCard int   // smallest post-move CurCard so far
+	spec    *walkSpec // the agent's API.walkBuf, so only read while the agent is suspended on the walk
+	i       int       // next move index
+	entry   int       // UXS-rule entry state (offsets mode), 0 at walk start
+	entries []int     // entry ports recorded so far
+	minCard int       // smallest post-move CurCard so far
 }
 
 func (w *walkState) steps() int {

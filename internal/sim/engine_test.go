@@ -367,8 +367,10 @@ func TestAgentPanicFailsRunWithoutHanging(t *testing.T) {
 
 // TestAbortedRunsLeaveNoGoroutines runs scenarios that fail while agent
 // programs are suspended, again and again, and checks that the goroutine
-// count is back at its baseline each time Run returns: Run must unwind
-// every suspended program before it returns.
+// count is no higher than its baseline each time Run returns: Run must
+// unwind every suspended program before it returns. (A goroutine of an
+// earlier test may still be exiting, so the count may drop below the
+// baseline; a leak shows as growth, compounded by every repetition.)
 func TestAbortedRunsLeaveNoGoroutines(t *testing.T) {
 	waiter := func(a *API) Report {
 		a.WaitUntil(CardAtLeast(99))
@@ -414,7 +416,7 @@ func TestAbortedRunsLeaveNoGoroutines(t *testing.T) {
 			if err == nil || (c.want != nil && !errors.Is(err, c.want)) {
 				t.Fatalf("%s: got error %v, want %v", c.name, err, c.want)
 			}
-			if n := runtime.NumGoroutine(); n != base {
+			if n := runtime.NumGoroutine(); n > base {
 				t.Fatalf("%s, run %d: %d goroutines after Run returned, %d before", c.name, rep, n, base)
 			}
 		}

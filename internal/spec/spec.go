@@ -141,8 +141,9 @@ func (a AlgorithmSpec) ParamString(key, def string) (string, error) {
 type AgentSpec struct {
 	Label int `json:"label"`
 	Start int `json:"start"`
-	// Wake is the adversarial wake round; sim.DormantUntilVisited (-1)
-	// marks an agent woken only by a visiting agent.
+	// Wake is the adversarial wake round; a visit by a woken agent wakes
+	// the agent earlier. sim.DormantUntilVisited (-1) marks an agent woken
+	// only by a visiting agent.
 	Wake      int           `json:"wake,omitempty"`
 	Algorithm AlgorithmSpec `json:"algorithm"`
 }

@@ -207,6 +207,56 @@ func TestRunUntilOnEntry(t *testing.T) {
 	}
 }
 
+func TestNestedRunUntilAndClosure(t *testing.T) {
+	// RunUntil frames nested with conditions of different kinds around a
+	// closure block that bulk-waits: the watcher's outer and inner frames
+	// pair a card condition with a round condition, and the mover's arrival
+	// round decides which holds first. An outer interruption unwinds through
+	// the inner frame; an inner one returns to the outer block, whose
+	// condition then cuts the following wait short.
+	cases := []struct {
+		name               string
+		outer, inner       Condition
+		arrive             int // round the mover joins the watcher
+		outerHit, innerHit bool
+		at                 int // local round after the outer RunUntil
+	}{
+		{"outer-card", CardAtLeast(2), LocalRoundReached(10), 3, true, false, 3},
+		{"outer-round", LocalRoundReached(3), CardAtLeast(2), 6, true, false, 3},
+		{"inner-card", LocalRoundReached(8), CardAtLeast(2), 3, true, true, 8},
+	}
+	for _, tc := range cases {
+		var outerHit, innerHit bool
+		var at int
+		watcher := func(a *API) Report {
+			outerHit = a.RunUntil(tc.outer, func(a *API) {
+				innerHit = a.RunUntil(tc.inner, func(a *API) { a.WaitRounds(100) })
+				a.WaitRounds(100)
+			})
+			at = a.LocalRound()
+			return Report{}
+		}
+		mover := func(a *API) Report {
+			a.WaitRounds(tc.arrive - 1)
+			a.TakePort(0)
+			return Report{}
+		}
+		if _, err := Run(Scenario{
+			Graph: graph.Path(2),
+			Agents: []AgentSpec{
+				{Label: 1, Start: 0, WakeRound: 0, Program: watcher},
+				{Label: 2, Start: 1, WakeRound: 0, Program: mover},
+			},
+		}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if outerHit != tc.outerHit || innerHit != tc.innerHit || at != tc.at {
+			t.Errorf("%s: outerHit=%v innerHit=%v at local round %d, want %v %v %d",
+				tc.name, outerHit, innerHit, at, tc.outerHit, tc.innerHit, tc.at)
+		}
+	}
+}
+
 func TestBulkWaitStallHitsMaxRounds(t *testing.T) {
 	// An unbounded wait on a condition that can never fire must terminate
 	// with ErrMaxRounds — and reach it by clock jump, not by grinding.

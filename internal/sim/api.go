@@ -27,9 +27,7 @@ type observation struct {
 	entryPort  int // port through which the agent last entered; -1 before any move
 	curCard    int // number of agents (incl. self) at the current node
 
-	// Walk results, set only when the observation ends a bulk walk.
-	walkEntries []int // entry ports recorded during the walk, in move order
-	walkMin     int   // smallest CurCard observed after any move of the walk
+	walkMin int // set only when the observation ends a bulk walk: its smallest post-move CurCard
 }
 
 // instruction is what an agent submits to the engine for its next rounds:
@@ -45,15 +43,20 @@ type instruction struct {
 }
 
 // walkSpec describes a bulk walk the engine executes without per-round
-// agent handoffs. Exactly one of the two fields is non-empty.
+// agent handoffs: forward moves given by exactly one of offsets and ports,
+// then a retrace of the last back of them in reverse. The engine reads the
+// slices only while the agent is suspended on the walk.
 type walkSpec struct {
 	// offsets drives a universal-exploration-rule walk: in each round take
 	// port q = (entry + offsets[i]) mod degree, where entry is the port of
 	// last entry WITHIN the walk, starting at 0 (the UXS convention).
 	offsets []int
-	// ports is a literal walk: take ports[i] in round i (backtracks,
-	// shortest-path walks).
+	// ports is a literal walk: take ports[i] in round i (shortest-path
+	// walks).
 	ports []int
+	// back counts the retrace moves: each leaves through the entry port of
+	// the forward move it undoes, last forward move first.
+	back int
 }
 
 // Report carries the algorithm-specific results an agent program returns when
@@ -84,8 +87,8 @@ type API struct {
 	frames []armedCond // conditions of the active RunUntil blocks, outermost first
 
 	// Per-instruction buffers, reused for every instruction: the engine
-	// reads an instruction's walk and conditions only while the agent is
-	// suspended on it.
+	// reads an instruction's walk and conditions only when it accepts the
+	// instruction, while the program is suspended on it.
 	walkBuf walkSpec
 	condBuf []armedCond
 }
@@ -202,29 +205,35 @@ func (a *API) TakePort(p int) (entryPort int) {
 // universal-exploration rule: in each round the agent leaves through port
 // q = (entry + offset) mod degree, where entry is the port of last entry
 // within this walk (0 before the first move, per the UXS convention). It
-// returns the recorded entry ports — the material for a backtrack via
-// WalkPorts — and the smallest CurCard observed after any of the moves.
+// then retraces the last back of those moves in reverse, one per round,
+// each through the port by which the move it undoes entered its node:
+// WalkOffsets(xs, len(xs)) is a whole EXPLO, out and back to the start. It
+// returns the smallest CurCard observed after any of the moves.
 //
-// The whole walk is ONE engine-side instruction: the engine computes each
-// port itself, so no agent handoff happens until the walk completes or an
+// The whole walk, retrace included, is ONE engine-side instruction: the
+// engine computes each port itself and records the entry ports for the
+// retrace, so no agent handoff happens until the walk completes or an
 // enclosing condition (RunUntil) fires — interrupting mid-walk exactly as
-// per-round stepping would. The returned entries are a fresh slice the
-// caller owns.
-func (a *API) WalkOffsets(offsets []int) (entries []int, minCard int) {
-	if len(offsets) == 0 {
-		return nil, a.obs.curCard
+// per-round stepping would. back must lie in [0, len(offsets)]; any other
+// value is a program bug and panics.
+func (a *API) WalkOffsets(offsets []int, back int) (minCard int) {
+	if back < 0 || back > len(offsets) {
+		panic(fmt.Sprintf("sim: WalkOffsets retrace of %d moves outside [0, %d]", back, len(offsets)))
 	}
-	a.walkBuf = walkSpec{offsets: offsets}
+	if len(offsets) == 0 {
+		return a.obs.curCard
+	}
+	a.walkBuf = walkSpec{offsets: offsets, back: back}
 	return a.bulkWalk()
 }
 
 // WalkPorts performs len(ports) moves, one per round, taking the given ports
 // literally, as one engine-side instruction (see WalkOffsets). It returns
-// the recorded entry ports and the smallest CurCard observed after any of
-// the moves. A nonexistent port aborts the run, as with TakePort.
-func (a *API) WalkPorts(ports []int) (entries []int, minCard int) {
+// the smallest CurCard observed after any of the moves. A nonexistent port
+// aborts the run, as with TakePort.
+func (a *API) WalkPorts(ports []int) (minCard int) {
 	if len(ports) == 0 {
-		return nil, a.obs.curCard
+		return a.obs.curCard
 	}
 	a.walkBuf = walkSpec{ports: ports}
 	return a.bulkWalk()
@@ -234,11 +243,11 @@ func (a *API) WalkPorts(ports []int) (entries []int, minCard int) {
 // RunUntil condition attached, then re-checks the frames on wake so a fired
 // condition unwinds the walk mid-flight, exactly as under per-round
 // stepping.
-func (a *API) bulkWalk() (entries []int, minCard int) {
+func (a *API) bulkWalk() (minCard int) {
 	a.submit(instruction{port: -1, walk: &a.walkBuf, conds: a.armed(nil)})
-	entries, minCard = a.obs.walkEntries, a.obs.walkMin
+	minCard = a.obs.walkMin
 	a.checkInterrupts()
-	return entries, minCard
+	return minCard
 }
 
 // OracleGraphSize returns the true number of nodes of the graph.

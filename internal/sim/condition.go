@@ -65,10 +65,11 @@ func (c Condition) valid() bool {
 }
 
 // armedCond is a Condition resolved against its arming context: CardChanged
-// needs the CurCard value observed when the condition was armed. Both the
-// engine and the agent-side interrupt check evaluate armedConds with the same
-// pure function, which is what keeps engine-side evaluation exactly
-// equivalent to per-round stepping.
+// needs the CurCard value observed when the condition was armed. The agent
+// side evaluates armedConds with condHolds; the engine evaluates the
+// wakeWindow compiled from them, which wakes in exactly the rounds in which
+// condHolds holds. That equivalence is what keeps engine-side evaluation
+// identical to per-round stepping.
 type armedCond struct {
 	c    Condition
 	base int // CurCard at arming time, for CardChanged
@@ -97,41 +98,53 @@ func condHolds(c Condition, curCard, localRound, base int) bool {
 	return false
 }
 
-// neverFires is the fireBound result for conditions that cannot fire while
-// every agent stands still.
-const neverFires = -1
+// never is the deadline of a wait that no round ends.
+const never = maxInt
 
-// fireBound returns the earliest global round >= from at which the condition
-// could fire, assuming CurCard stays frozen at curCard until then (which the
-// engine guarantees while no agent moves or wakes), or neverFires if no such
-// round exists. wokeAt translates local-round conditions to global rounds.
-func (ac armedCond) fireBound(from, curCard, wokeAt int) int {
-	return condFireBound(ac.c, from, curCard, wokeAt, ac.base)
+// wakeWindow is the wake test of a sleeping agent, compiled once when the
+// engine accepts its instruction: the agent stays asleep while the round is
+// before deadline and its CurCard lies in [lo, hi]. The deadline is the
+// earliest of the wait's expiry and every LocalRoundReached round; each
+// card condition narrows the window to the cards at which it does not hold.
+type wakeWindow struct {
+	lo, hi   int
+	deadline int
 }
 
-func condFireBound(c Condition, from, curCard, wokeAt, base int) int {
+// wakes reports whether the agent must be resumed in round r at CurCard
+// card: its wait expired or some armed condition holds.
+func (w wakeWindow) wakes(r, card int) bool {
+	return r >= w.deadline || card < w.lo || card > w.hi
+}
+
+// compileWake folds a wait expiry (never for none) and the armed conditions
+// into one wakeWindow; wokeAt translates local rounds into global ones. In
+// every round r the result wakes exactly when r >= expiry or some armed
+// condition holds by condHolds — the test the agent side applies.
+func compileWake(expiry int, conds []armedCond, wokeAt int) wakeWindow {
+	w := wakeWindow{lo: 0, hi: maxInt, deadline: expiry} // cards are never negative
+	for _, ac := range conds {
+		w.add(ac.c, ac.base, wokeAt)
+	}
+	return w
+}
+
+// add intersects the window with the rounds and cards at which c does not
+// hold; Any holds when one of its parts does, so its parts all intersect.
+func (w *wakeWindow) add(c Condition, base, wokeAt int) {
 	switch c.kind {
 	case condCardAtLeast:
-		if curCard >= c.k {
-			return from
-		}
+		w.hi = min(w.hi, c.k-1)
 	case condCardChanged:
-		if curCard != base {
-			return from
-		}
+		w.lo = max(w.lo, base)
+		w.hi = min(w.hi, base)
 	case condLocalRound:
-		if at := wokeAt + c.k; at >= from {
-			return at
+		if c.k < w.deadline-wokeAt { // wokeAt+c.k without overflow
+			w.deadline = wokeAt + c.k
 		}
-		return from
 	case condAny:
-		best := neverFires
 		for _, s := range c.subs {
-			if fb := condFireBound(s, from, curCard, wokeAt, base); fb != neverFires && (best == neverFires || fb < best) {
-				best = fb
-			}
+			w.add(s, base, wokeAt)
 		}
-		return best
 	}
-	return neverFires
 }

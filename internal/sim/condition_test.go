@@ -2,6 +2,10 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"nochatter/internal/graph"
@@ -292,53 +296,105 @@ func TestInvalidConditionPanics(t *testing.T) {
 	}
 }
 
+// takePortLoop is the per-round form of WalkOffsets(offsets, back): the UXS
+// loop, then TakePort back through the recorded entry ports.
+func takePortLoop(a *API, offsets []int, back int) {
+	entry := 0
+	entries := make([]int, len(offsets))
+	for i, x := range offsets {
+		entry = a.TakePort((entry + x) % a.Degree())
+		entries[i] = entry
+	}
+	for j := 1; j <= back; j++ {
+		a.TakePort(entries[len(entries)-j])
+	}
+}
+
+// positionTrace runs sc with an OnRound hook and returns every agent's node
+// in every round, alongside the result.
+func positionTrace(t *testing.T, sc Scenario) ([]int, *RunResult) {
+	t.Helper()
+	var trace []int
+	sc.OnRound = func(v RoundView) { trace = append(trace, v.Positions...) }
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trace, res
+}
+
 func TestWalkOffsetsMatchesTakePortLoop(t *testing.T) {
-	// A bulk offsets-walk must visit the same nodes and record the same
-	// entries as the manual per-round UXS loop.
+	// A bulk offsets-walk and its retrace must put the agent on the same
+	// node in every round as the manual per-round UXS loop followed by
+	// TakePort back through the recorded entries.
 	g := graph.GNP(9, 0.4, 7)
 	offsets := []int{1, 0, 2, 1, 3, 0, 2, 2, 1, 0}
-	var manual, bulk []int
-	run := func(useBulk bool, sink *[]int) {
-		prog := func(a *API) Report {
-			if useBulk {
-				entries, _ := a.WalkOffsets(offsets)
-				*sink = entries
-			} else {
-				entry := 0
-				for _, x := range offsets {
-					entry = a.TakePort((entry + x) % a.Degree())
-					*sink = append(*sink, entry)
+	for _, back := range []int{0, 3, len(offsets)} {
+		solo := func(walk func(a *API)) Scenario {
+			return Scenario{Graph: g, Agents: []AgentSpec{{Label: 1, Start: 0, WakeRound: 0, Program: func(a *API) Report {
+				walk(a)
+				return Report{}
+			}}}}
+		}
+		want, wantRes := positionTrace(t, solo(func(a *API) { takePortLoop(a, offsets, back) }))
+		got, gotRes := positionTrace(t, solo(func(a *API) { a.WalkOffsets(offsets, back) }))
+		if !slices.Equal(got, want) {
+			t.Errorf("back %d: positions diverge:\n bulk:   %v\n manual: %v", back, got, want)
+		}
+		if !reflect.DeepEqual(gotRes, wantRes) {
+			t.Errorf("back %d: results diverge: bulk %+v, manual %+v", back, gotRes, wantRes)
+		}
+		if back == len(offsets) && gotRes.Agents[0].FinalNode != 0 {
+			t.Errorf("full retrace ended at node %d, want the start 0", gotRes.Agents[0].FinalNode)
+		}
+	}
+
+	// A card condition that fires mid-retrace interrupts both forms in the
+	// same round. On the 6-path the walker goes 0 -> 1 -> 2 -> 3 and back;
+	// the other agent walks 5 -> 4 -> 3 -> 2, crossing the walker on an
+	// edge in round 2, so they first share a node in round 4, on the
+	// walker's first retrace move.
+	path := graph.Path(6)
+	fwd := []int{0, 1, 1}
+	var traces [2][]int
+	for i, bulk := range []bool{false, true} {
+		hitAt := -1
+		walker := func(a *API) Report {
+			if a.RunUntil(CardAtLeast(2), func(a *API) {
+				if bulk {
+					a.WalkOffsets(fwd, len(fwd))
+				} else {
+					takePortLoop(a, fwd, len(fwd))
 				}
+			}) {
+				hitAt = a.LocalRound()
 			}
 			return Report{}
 		}
-		if _, err := Run(Scenario{Graph: g, Agents: []AgentSpec{{Label: 1, Start: 0, WakeRound: 0, Program: prog}}}); err != nil {
-			t.Fatal(err)
+		other := func(a *API) Report {
+			a.WalkPorts([]int{0, 0, 0})
+			a.WaitRounds(5)
+			return Report{}
+		}
+		traces[i], _ = positionTrace(t, Scenario{Graph: path, Agents: []AgentSpec{
+			{Label: 1, Start: 0, WakeRound: 0, Program: walker},
+			{Label: 2, Start: 5, WakeRound: 0, Program: other},
+		}})
+		if hitAt != 4 {
+			t.Errorf("bulk=%v: interrupted at local round %d, want 4 (mid-retrace)", bulk, hitAt)
 		}
 	}
-	run(false, &manual)
-	run(true, &bulk)
-	if len(manual) != len(bulk) {
-		t.Fatalf("entry counts differ: %v vs %v", manual, bulk)
-	}
-	for i := range manual {
-		if manual[i] != bulk[i] {
-			t.Fatalf("entries diverge at %d: %v vs %v", i, manual, bulk)
-		}
+	if !slices.Equal(traces[1], traces[0]) {
+		t.Errorf("interrupted retrace: positions diverge:\n bulk:   %v\n manual: %v", traces[1], traces[0])
 	}
 }
 
 func TestWalkPortsRoundTrip(t *testing.T) {
-	// Walking out and back by the recorded entries must return to the start
-	// and consume exactly 2·len rounds.
+	// An offsets walk with a full retrace must return to the start and
+	// consume exactly 2·len rounds.
 	g := graph.Ring(6)
 	prog := func(a *API) Report {
-		entries, _ := a.WalkOffsets([]int{1, 1, 1})
-		rev := make([]int, len(entries))
-		for i, e := range entries {
-			rev[len(entries)-1-i] = e
-		}
-		a.WalkPorts(rev)
+		a.WalkOffsets([]int{1, 1, 1}, 3)
 		if a.LocalRound() != 6 {
 			t.Errorf("round trip took %d rounds, want 6", a.LocalRound())
 		}
@@ -353,6 +409,45 @@ func TestWalkPortsRoundTrip(t *testing.T) {
 	}
 }
 
+func TestWalkOffsetsBadBackFailsRun(t *testing.T) {
+	// A retrace longer than the walk, or negative, is a program bug.
+	for _, back := range []int{-1, 4} {
+		prog := func(a *API) Report {
+			a.WalkOffsets([]int{1, 1, 1}, back)
+			return Report{}
+		}
+		_, err := Run(Scenario{Graph: graph.Ring(6), Agents: []AgentSpec{{Label: 1, Start: 0, WakeRound: 0, Program: prog}}})
+		if err == nil || !strings.Contains(err.Error(), "agent program panicked") {
+			t.Errorf("back %d: got error %v, want an agent program panic", back, err)
+		}
+	}
+}
+
+func TestWalksDoNotAllocate(t *testing.T) {
+	// The engine retraces from one entry buffer per agent, reused across
+	// walks, so a run's allocations do not grow with its number of walks.
+	offsets := []int{1, 0, 1, 1, 0, 1}
+	allocs := func(walks int) float64 {
+		prog := func(a *API) Report {
+			a.RunUntil(CardAtLeast(2), func(a *API) {
+				for range walks {
+					a.WalkOffsets(offsets, len(offsets))
+				}
+			})
+			return Report{}
+		}
+		sc := Scenario{Graph: graph.Ring(8), Agents: []AgentSpec{{Label: 1, Start: 0, WakeRound: 0, Program: prog}}}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(100); many > few {
+		t.Errorf("a run of 100 EXPLO round trips allocates %v times, one of 10 allocates %v", many, few)
+	}
+}
+
 func TestWalkMinCard(t *testing.T) {
 	// The walker passes through an occupied middle node: the reported
 	// minimum must include that meeting, and the other agent must see card 2
@@ -360,7 +455,7 @@ func TestWalkMinCard(t *testing.T) {
 	g := graph.Path(3)
 	var minSeen int
 	walker := func(a *API) Report {
-		_, m := a.WalkPorts([]int{0, 0}) // 2 -> 1 -> 0
+		m := a.WalkPorts([]int{0, 0}) // 2 -> 1 -> 0
 		minSeen = m
 		return Report{}
 	}
@@ -450,5 +545,80 @@ func TestAdversaryWakeEndsSkip(t *testing.T) {
 	}
 	if res.SteppedRounds > 8 {
 		t.Errorf("stepped %d rounds, want <= 8", res.SteppedRounds)
+	}
+}
+
+func TestCompiledWakeMatchesCondHolds(t *testing.T) {
+	// The engine's compiled wake test must agree with the agent side's:
+	// over random condition trees (all three leaf kinds, Any nested up to
+	// depth 3), arming cards, wake rounds and wait expiries, compileWake
+	// wakes at exactly the rounds and cards at which the wait expired or
+	// some armed condition holds.
+	rng := rand.New(rand.NewSource(14))
+	var tree func(depth int) Condition
+	tree = func(depth int) Condition {
+		switch k := rng.Intn(4); {
+		case k == 3 && depth < 3:
+			subs := make([]Condition, 1+rng.Intn(3))
+			for i := range subs {
+				subs[i] = tree(depth + 1)
+			}
+			return Any(subs...)
+		case k == 0:
+			return CardAtLeast(rng.Intn(11) - 1)
+		case k == 1:
+			return CardChanged()
+		default:
+			return LocalRoundReached(rng.Intn(40) - 3)
+		}
+	}
+	for trial := 0; trial < 3000; trial++ {
+		wokeAt := rng.Intn(20)
+		conds := make([]armedCond, rng.Intn(4))
+		for i := range conds {
+			conds[i] = armedCond{c: tree(0), base: rng.Intn(9)}
+		}
+		expiry := never
+		if rng.Intn(2) == 0 {
+			expiry = wokeAt + rng.Intn(40)
+		}
+		w := compileWake(expiry, conds, wokeAt)
+		for r := wokeAt; r <= wokeAt+40; r++ {
+			for card := 0; card <= 8; card++ {
+				want := r >= expiry
+				for _, ac := range conds {
+					want = want || ac.holds(card, r-wokeAt)
+				}
+				if got := w.wakes(r, card); got != want {
+					t.Fatalf("trial %d: conds %+v armed after waking at %d, expiry %d: wakes(%d, card %d) = %v, want %v (window %+v)",
+						trial, conds, wokeAt, expiry, r, card, got, want, w)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkWalkRetrace measures the engine on EXPLO round trips: two
+// agents each walk 13 moves out and retrace them, back to back, inside a
+// CardAtLeast frame the engine tests every round.
+func BenchmarkWalkRetrace(b *testing.B) {
+	offsets := []int{1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1}
+	prog := func(a *API) Report {
+		a.RunUntil(CardAtLeast(3), func(a *API) {
+			for range 50 {
+				a.WalkOffsets(offsets, len(offsets))
+			}
+		})
+		return Report{}
+	}
+	sc := Scenario{Graph: graph.Ring(16), Agents: []AgentSpec{
+		{Label: 1, Start: 0, WakeRound: 0, Program: prog},
+		{Label: 2, Start: 8, WakeRound: 0, Program: prog},
+	}}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Run(sc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

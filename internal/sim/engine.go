@@ -136,30 +136,29 @@ func SimulatedRounds() (logical, stepped int64) {
 	return totalSimulated.Load(), totalStepped.Load()
 }
 
-// agentState is the engine-side state of one agent.
+// agentState is the engine-side state of one agent. The fields the round
+// loop reads in every stepped round come first.
 type agentState struct {
-	spec      AgentSpec
-	api       *API
-	node      int
-	entryPort int
-	awake     bool
+	node     int
+	awake    bool
+	halted   bool
+	sleeping bool       // suspended on a bulk instruction the engine advances without resuming it
+	wake     wakeWindow // while sleeping: when the pending instruction ends (see compileWake)
+	walk     walkState  // in-progress bulk walk (walk.n > 0), one engine-computed move per round
+
 	wokeAt    int
-	halted    bool
-	haltRound int
-	report    Report // set by the program's coroutine when the program returns
-	err       error  // set by the program's coroutine when the program panics
+	entryPort int
+	api       *API
 
 	// next resumes the program's coroutine (nil until the agent first
 	// runs). It returns the next instruction submitted, or false once the
 	// program has returned or panicked.
 	next func() (instruction, bool)
 
-	// Pending bulk instruction: while sleeping, the program stays suspended
-	// and the engine advances it without resuming it.
-	sleeping bool
-	resumeAt int         // global round to deliver the next observation; -1 = only a condition wakes it
-	conds    []armedCond // armed wake conditions, engine-evaluated (the agent's API.condBuf)
-	walk     walkState   // in-progress bulk walk (walk.spec != nil), one engine-computed move per round
+	spec      AgentSpec
+	haltRound int
+	report    Report // set by the program's coroutine when the program returns
+	err       error  // set by the program's coroutine when the program panics
 }
 
 // start turns the agent's program into a coroutine and sets st.next. The
@@ -181,31 +180,42 @@ func (st *agentState) start() (stop func()) {
 	return stop
 }
 
-// walkState is the engine-side progress of one bulk walk instruction. Each
-// agent has one, reset for every walk.
+// walkState is the engine-side progress of one bulk walk: the forward moves
+// of its walkSpec, then the retrace of the last back of them in reverse.
+// Each agent has one; its entries buffer is reused across walks.
 type walkState struct {
-	spec    *walkSpec // the agent's API.walkBuf, so only read while the agent is suspended on the walk
-	i       int       // next move index
-	entry   int       // UXS-rule entry state (offsets mode), 0 at walk start
-	entries []int     // entry ports recorded so far
-	minCard int       // smallest post-move CurCard so far
+	walkSpec
+	fwd     int   // forward moves
+	n       int   // all moves, fwd + back; 0 when no walk is in progress
+	i       int   // next move index
+	entry   int   // UXS-rule entry state (offsets mode), 0 at walk start
+	minCard int   // smallest post-move CurCard so far
+	entries []int // entry ports of the forward moves, recorded when back > 0
 }
 
-func (w *walkState) steps() int {
-	if w.spec.offsets != nil {
-		return len(w.spec.offsets)
-	}
-	return len(w.spec.ports)
+// begin starts a walk, keeping the entries buffer of earlier ones.
+func (w *walkState) begin(spec walkSpec) {
+	w.walkSpec = spec
+	w.fwd = len(spec.offsets) + len(spec.ports)
+	w.n = w.fwd + spec.back
+	w.i, w.entry, w.minCard = 0, 0, maxInt
+	w.entries = w.entries[:0]
 }
 
-// nextPort computes the port of move i at the given node and advances.
+// nextPort computes the port of move i at the given node and advances. A
+// retrace move takes the entry port of the forward move it undoes.
 func (w *walkState) nextPort(g *graph.Graph, node int) (int, error) {
-	if w.spec.offsets != nil {
-		q := (w.entry + w.spec.offsets[w.i]) % g.Degree(node)
+	var p int
+	switch {
+	case w.i >= w.fwd:
+		p = w.entries[2*w.fwd-1-w.i]
+	case w.offsets != nil:
+		p = (w.entry + w.offsets[w.i]) % g.Degree(node)
 		w.i++
-		return q, nil
+		return p, nil
+	default:
+		p = w.ports[w.i]
 	}
-	p := w.spec.ports[w.i]
 	if !g.HasPort(node, p) {
 		return 0, fmt.Errorf("walked nonexistent port %d at a degree-%d node", p, g.Degree(node))
 	}
@@ -213,18 +223,12 @@ func (w *walkState) nextPort(g *graph.Graph, node int) (int, error) {
 	return p, nil
 }
 
-// wakesNow reports whether a sleeping agent must be handed the observation of
-// the current round: its bulk wait expired or an armed condition holds.
-func (st *agentState) wakesNow(r int, obs observation) bool {
-	if st.resumeAt >= 0 && r >= st.resumeAt {
-		return true
+// moved records the entry port of the move just applied.
+func (w *walkState) moved(entry int) {
+	w.entry = entry
+	if w.back > 0 && w.i <= w.fwd {
+		w.entries = append(w.entries, entry)
 	}
-	for _, ac := range st.conds {
-		if ac.holds(obs.curCard, obs.localRound) {
-			return true
-		}
-	}
-	return false
 }
 
 // Run executes the scenario to completion (all agents halted) and returns the
@@ -245,6 +249,10 @@ func (st *agentState) wakesNow(r int, obs observation) bool {
 // engine falls back to per-round stepping whenever Scenario.OnRound is set
 // (the hook must see every round) or an agent keeps itself live through
 // per-round calls.
+//
+// The round loop keeps its state incrementally: node occupancy changes only
+// with applied moves, and each instruction's wake test is compiled once,
+// when the engine accepts it.
 func Run(sc Scenario) (*RunResult, error) {
 	if err := Validate(sc); err != nil {
 		return nil, err
@@ -253,27 +261,29 @@ func Run(sc Scenario) (*RunResult, error) {
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
+	g := sc.Graph
 	n := len(sc.Agents)
-	states := make([]*agentState, n)
+	states := make([]agentState, n)
+	// cardAt[v] is CurCard at node v: every agent body there counts,
+	// dormant and halted agents included. Seeded from the start nodes, it
+	// is updated by every applied move.
+	cardAt := make([]int, g.N())
 	for i, spec := range sc.Agents {
-		states[i] = &agentState{
-			spec:      spec,
+		states[i] = agentState{
 			node:      spec.Start,
 			entryPort: -1,
 			wokeAt:    -1,
 			haltRound: -1,
-			api:       &API{label: spec.Label, oracleSize: sc.Graph.N()},
+			spec:      spec,
+			api:       &API{label: spec.Label, oracleSize: g.N()},
 		}
+		cardAt[spec.Start]++
 	}
 
-	positions := make([]int, n)
-	awake := make([]bool, n)
-	halted := make([]bool, n)
-	// Node-indexed bookkeeping. Entries are reset agent-wise before use, so
-	// only slots under a current agent position are ever valid — stale values
-	// elsewhere are never read.
-	cardAt := make([]int, sc.Graph.N())
-	occupiedByWoken := make([]bool, sc.Graph.N())
+	var view RoundView
+	if sc.OnRound != nil {
+		view = RoundView{Positions: make([]int, n), Awake: make([]bool, n), Halted: make([]bool, n)}
+	}
 
 	type pending struct {
 		st   *agentState
@@ -281,6 +291,8 @@ func Run(sc Scenario) (*RunResult, error) {
 	}
 	moves := make([]pending, 0, n)
 
+	asleep := n // agents not yet woken
+	live := n   // agents not yet halted
 	lastHalt := 0
 	steppedRounds := 0
 	totalMoves := 0
@@ -289,92 +301,72 @@ func Run(sc Scenario) (*RunResult, error) {
 			return nil, fmt.Errorf("%w (%d)", ErrMaxRounds, maxRounds)
 		}
 		steppedRounds++
-		// Wake-ups: an agent not yet awake wakes at its adversarial wake
-		// round, or when an already-woken agent occupies its start node,
-		// whichever comes first.
-		for _, st := range states {
-			occupiedByWoken[st.node] = false
-		}
-		for _, st := range states {
-			if st.awake || st.halted {
-				occupiedByWoken[st.node] = true
+		if asleep > 0 {
+			// An agent not yet awake wakes at its adversarial wake round,
+			// or when a woken agent stands on its start node. It has not
+			// moved and start nodes are unique, so any other body at its
+			// node is a woken visitor: a CurCard above 1 is a visit.
+			for i := range states {
+				st := &states[i]
+				if !st.awake && (st.spec.WakeRound == r || cardAt[st.node] > 1) {
+					st.awake = true
+					st.wokeAt = r
+					asleep--
+				}
 			}
-		}
-		for _, st := range states {
-			if st.awake || st.halted {
-				continue
-			}
-			if st.spec.WakeRound == r || occupiedByWoken[st.node] {
-				st.awake = true
-				st.wokeAt = r
-			}
-		}
-		// CurCard counts every agent body at the node: dormant and halted
-		// agents are physically present.
-		for _, st := range states {
-			cardAt[st.node] = 0
-		}
-		for _, st := range states {
-			cardAt[st.node]++
 		}
 		if sc.OnRound != nil {
-			for i, st := range states {
-				positions[i] = st.node
-				awake[i] = st.awake
-				halted[i] = st.halted
+			for i := range states {
+				st := &states[i]
+				view.Positions[i] = st.node
+				view.Awake[i] = st.awake
+				view.Halted[i] = st.halted
 			}
-			sc.OnRound(RoundView{Round: r, Positions: positions, Awake: awake, Halted: halted})
+			view.Round = r
+			sc.OnRound(view)
 		}
 		// Deliver observations and collect instructions, in fixed agent
-		// order. Sleeping agents whose wait neither expires nor fires are
-		// passed over without resuming their programs.
+		// order. Sleeping agents whose instruction neither ends nor fires
+		// are passed over without resuming their programs.
 		moves = moves[:0]
-		allHalted := true
-		for i, st := range states {
-			if st.halted {
+		for i := range states {
+			st := &states[i]
+			if st.halted || !st.awake {
 				continue
 			}
-			if !st.awake {
-				allHalted = false
-				continue
-			}
-			obs := observation{
-				localRound: r - st.wokeAt,
-				degree:     sc.Graph.Degree(st.node),
-				entryPort:  st.entryPort,
-				curCard:    cardAt[st.node],
-			}
+			card := cardAt[st.node]
+			walkMin := 0
 			if st.sleeping {
-				if w := &st.walk; w.spec != nil {
+				if w := &st.walk; w.n > 0 {
 					// Every round of a walk is post-move: fold the fresh
-					// CurCard into the walk minimum before wake checks.
-					if obs.curCard < w.minCard {
-						w.minCard = obs.curCard
-					}
-					if w.i < w.steps() && !st.wakesNow(r, obs) {
+					// CurCard into the walk minimum before the wake test.
+					w.minCard = min(w.minCard, card)
+					if w.i < w.n && !st.wake.wakes(r, card) {
 						// Execute the next move engine-side, no handoff.
-						port, err := w.nextPort(sc.Graph, st.node)
+						port, err := w.nextPort(g, st.node)
 						if err != nil {
 							return nil, fmt.Errorf("sim: agent label %d %v in round %d",
 								st.spec.Label, err, r)
 						}
 						moves = append(moves, pending{st: st, port: port})
-						allHalted = false
 						continue
 					}
 					// Walk complete, or a condition fired mid-walk: wake the
-					// agent with the (possibly partial) results attached.
-					obs.walkEntries = w.entries
-					obs.walkMin = w.minCard
-					*w = walkState{}
-				} else if !st.wakesNow(r, obs) {
-					allHalted = false
+					// agent with the walk minimum attached.
+					walkMin = w.minCard
+					w.n = 0
+				} else if !st.wake.wakes(r, card) {
 					continue
 				}
 				st.sleeping = false
-				st.conds = nil
 			}
-			st.api.obs = obs
+			st.api.obs = observation{
+				localRound: r - st.wokeAt,
+				degree:     g.Degree(st.node),
+				entryPort:  st.entryPort,
+				curCard:    card,
+				walkMin:    walkMin,
+			}
 			if st.next == nil {
 				stop := st.start()
 				defer stop()
@@ -388,57 +380,51 @@ func Run(sc Scenario) (*RunResult, error) {
 				st.halted = true
 				st.haltRound = r
 				lastHalt = r
+				live--
 				continue
 			}
-			allHalted = false
-			if in.port >= 0 {
-				if !sc.Graph.HasPort(st.node, in.port) {
+			st.sleeping = true
+			switch {
+			case in.port >= 0:
+				if !g.HasPort(st.node, in.port) {
 					return nil, fmt.Errorf("sim: agent label %d took nonexistent port %d at a degree-%d node in round %d",
-						st.spec.Label, in.port, sc.Graph.Degree(st.node), r)
+						st.spec.Label, in.port, g.Degree(st.node), r)
 				}
 				moves = append(moves, pending{st: st, port: in.port})
-				st.sleeping = true
-				st.resumeAt = r + 1
-				st.conds = nil
-			} else if in.walk != nil {
+				st.wake = compileWake(r+1, nil, st.wokeAt)
+			case in.walk != nil:
 				w := &st.walk
-				*w = walkState{spec: in.walk, minCard: maxInt}
-				w.entries = make([]int, 0, w.steps())
-				port, err := w.nextPort(sc.Graph, st.node)
+				w.begin(*in.walk)
+				port, err := w.nextPort(g, st.node)
 				if err != nil {
 					return nil, fmt.Errorf("sim: agent label %d %v in round %d",
 						st.spec.Label, err, r)
 				}
 				moves = append(moves, pending{st: st, port: port})
-				st.sleeping = true
-				st.resumeAt = -1 // woken by walk completion or a condition
-				st.conds = in.conds
-			} else {
-				rounds := in.rounds
-				if rounds == 0 {
-					rounds = 1
+				// Woken by walk completion or a condition.
+				st.wake = compileWake(never, in.conds, st.wokeAt)
+			default:
+				expiry := never
+				if in.rounds >= 0 {
+					expiry = r + max(in.rounds, 1)
 				}
-				st.sleeping = true
-				if rounds < 0 {
-					st.resumeAt = -1
-				} else {
-					st.resumeAt = r + rounds
-				}
-				st.conds = in.conds
+				st.wake = compileWake(expiry, in.conds, st.wokeAt)
 			}
 		}
 		// Apply all moves simultaneously.
 		totalMoves += len(moves)
 		for _, mv := range moves {
-			to, entry := sc.Graph.Traverse(mv.st.node, mv.port)
-			mv.st.node = to
-			mv.st.entryPort = entry
-			if w := &mv.st.walk; w.spec != nil {
-				w.entries = append(w.entries, entry)
-				w.entry = entry
+			st := mv.st
+			to, entry := g.Traverse(st.node, mv.port)
+			cardAt[st.node]--
+			cardAt[to]++
+			st.node = to
+			st.entryPort = entry
+			if st.walk.n > 0 {
+				st.walk.moved(entry)
 			}
 		}
-		if allHalted {
+		if live == 0 {
 			break
 		}
 		if sc.OnRound != nil || len(moves) > 0 {
@@ -454,7 +440,8 @@ func Run(sc Scenario) (*RunResult, error) {
 	totalSimulated.Add(int64(lastHalt))
 	totalStepped.Add(int64(steppedRounds))
 	res := &RunResult{Rounds: lastHalt, Agents: make([]AgentResult, n), SteppedRounds: steppedRounds, Moves: totalMoves}
-	for i, st := range states {
+	for i := range states {
+		st := &states[i]
 		res.Agents[i] = AgentResult{
 			Label:      st.spec.Label,
 			Halted:     st.halted,
@@ -472,51 +459,33 @@ func Run(sc Scenario) (*RunResult, error) {
 // fire, or the adversary wakes an agent. Every round strictly between can be
 // skipped: no agent moved in round r (a mover's next observation is due at
 // r+1, which caps the result), so positions — and with them every CurCard
-// and visit-triggered wake — are frozen.
-func nextEventRound(states []*agentState, r int, cardAt []int, maxRounds int) int {
-	next := -1
-	consider := func(x int) {
-		if x > r && (next < 0 || x < next) {
-			next = x
-		}
-	}
-	for _, st := range states {
-		if st.halted {
-			continue
-		}
-		if !st.awake {
+// and visit-triggered wake — are frozen. When nothing can happen, the result
+// is maxRounds+1: the per-round engine would grind to the budget and fail
+// with ErrMaxRounds, so the clock jumps there directly.
+func nextEventRound(states []agentState, r int, cardAt []int, maxRounds int) int {
+	next := maxRounds + 1
+	for i := range states {
+		st := &states[i]
+		switch {
+		case st.halted:
+		case !st.awake:
+			// A visit cannot newly wake an agent while positions are
+			// frozen; a wake caused by this round's moves is covered by the
+			// movers' observation at r+1.
 			if st.spec.WakeRound > r {
-				consider(st.spec.WakeRound)
+				next = min(next, st.spec.WakeRound)
 			}
-			// A visit cannot newly wake an agent while positions are frozen;
-			// a wake caused by this round's moves is covered by the movers'
-			// resumeAt of r+1.
-			continue
+		case st.walk.n > 0 || st.wake.wakes(r+1, cardAt[st.node]):
+			// Every awake non-halted agent is sleeping here: each
+			// interaction ends with a halt or a new pending instruction. A
+			// walker moved this round, so this branch only catches a wake
+			// test that already passes at the frozen CurCard.
+			next = min(next, r+1)
+		default:
+			// The card lies in the window, so only the deadline (after r+1,
+			// or never) can end the wait.
+			next = min(next, st.wake.deadline)
 		}
-		// Every awake non-halted agent is sleeping at this point: each
-		// interaction ends with a halt or a new pending instruction.
-		if st.walk.spec != nil {
-			// Unreachable in practice: a mid-walk agent moved this round, and
-			// any move forces stepping to r+1 before this function is called.
-			consider(r + 1)
-			continue
-		}
-		if st.resumeAt >= 0 {
-			consider(st.resumeAt)
-		}
-		card := cardAt[st.node]
-		for _, ac := range st.conds {
-			if fb := ac.fireBound(r+1, card, st.wokeAt); fb != neverFires {
-				consider(fb)
-			}
-		}
-	}
-	if next < 0 {
-		// No future event exists: every remaining wait is unbounded on
-		// conditions that cannot fire while the world is frozen. The
-		// per-round engine would grind to the budget and fail with
-		// ErrMaxRounds; jump there directly.
-		return maxRounds + 1
 	}
 	return next
 }

@@ -229,7 +229,7 @@ func TestNestedInterrupts(t *testing.T) {
 		prog := func(a *API) Report {
 			outerHit = a.RunUntil(LocalRoundReached(tc.outer), func(a *API) {
 				innerHit = a.RunUntil(LocalRoundReached(tc.inner), func(a *API) {
-					a.WalkOffsets(make([]int, 100))
+					a.WalkOffsets(make([]int, 100), 0)
 				})
 				a.WaitRounds(100)
 			})

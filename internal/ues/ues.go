@@ -18,8 +18,6 @@
 package ues
 
 import (
-	"slices"
-
 	"nochatter/internal/graph"
 	"nochatter/internal/sim"
 )
@@ -124,73 +122,22 @@ func (s *Sequence) CoversFromEveryStart(g *graph.Graph) bool {
 	return true
 }
 
-// Walker executes one EXPLO run for a live agent, one move per call, so
-// callers can interleave CurCard observations and interruption checks.
-type Walker struct {
-	seq     *Sequence
-	a       *sim.API
-	entries []int // entry ports recorded during the effective half
-	i       int   // next effective offset index
-	entry   int   // entry port state per the walk rule
-	back    int   // backtrack progress
-}
-
-// NewWalker starts a fresh EXPLO execution for agent a at its current node.
-func (s *Sequence) NewWalker(a *sim.API) *Walker {
-	return &Walker{seq: s, a: a, entries: make([]int, 0, len(s.offsets))}
-}
-
-// StepEffective performs the next effective move; it returns false once the
-// effective half is complete (and performs nothing).
-func (w *Walker) StepEffective() bool {
-	if w.i >= len(w.seq.offsets) {
-		return false
-	}
-	d := w.a.Degree()
-	q := (w.entry + w.seq.offsets[w.i]) % d
-	w.entry = w.a.TakePort(q)
-	w.entries = append(w.entries, w.entry)
-	w.i++
-	return true
-}
-
-// StepBacktrack performs the next backtrack move; it returns false once the
-// agent is back at its start node.
-func (w *Walker) StepBacktrack() bool {
-	if w.back >= len(w.entries) {
-		return false
-	}
-	p := w.entries[len(w.entries)-1-w.back]
-	w.a.TakePort(p)
-	w.back++
-	return true
-}
-
 // Explo runs a full EXPLO (effective + backtrack), consuming exactly
-// Duration() rounds, and leaves the agent where it started. Both halves are
-// engine-side bulk walks (sim.WalkOffsets / sim.WalkPorts): the engine
-// computes every port itself, so the whole execution costs two agent
-// handoffs instead of 2·E.
+// Duration() rounds, and leaves the agent where it started. The whole
+// execution is ONE engine-side walk (sim.API.WalkOffsets with a full
+// retrace): the engine computes every port and retraces the effective half
+// from its own record of entry ports, so an EXPLO costs one agent handoff
+// instead of 2·E.
 func (s *Sequence) Explo(a *sim.API) {
-	entries, _ := a.WalkOffsets(s.offsets)
-	slices.Reverse(entries) // entries are fresh per walk: reverse in place
-	a.WalkPorts(entries)
+	a.WalkOffsets(s.offsets, len(s.offsets))
 }
 
 // ExploMinCard runs a full EXPLO and returns the smallest CurCard observed
-// after each of the 2·E moves (the paper's "smallest value reached by
-// CurCard during the latest execution of EXPLO").
+// at its start and after each of the 2·E moves (the paper's "smallest value
+// reached by CurCard during the latest execution of EXPLO").
 func (s *Sequence) ExploMinCard(a *sim.API) int {
-	min := a.CurCard()
-	entries, m := a.WalkOffsets(s.offsets)
-	if m < min {
-		min = m
-	}
-	slices.Reverse(entries)
-	if _, m = a.WalkPorts(entries); m < min {
-		min = m
-	}
-	return min
+	start := a.CurCard()
+	return min(start, a.WalkOffsets(s.offsets, len(s.offsets)))
 }
 
 // ExploPartial runs only the first n rounds of an EXPLO (n <= Duration()):
@@ -199,13 +146,5 @@ func (s *Sequence) ExploMinCard(a *sim.API) int {
 // cut short by their round budget.
 func (s *Sequence) ExploPartial(a *sim.API, n int) {
 	e := len(s.offsets)
-	eff := n
-	if eff > e {
-		eff = e
-	}
-	entries, _ := a.WalkOffsets(s.offsets[:eff])
-	if back := n - e; back > 0 {
-		slices.Reverse(entries)
-		a.WalkPorts(entries[:back])
-	}
+	a.WalkOffsets(s.offsets[:min(n, e)], max(0, n-e))
 }

@@ -51,7 +51,9 @@
 // Agent programs talk to the engine through an instruction contract the
 // engine can reason about: API.WaitRounds and API.WaitUntil submit a single
 // bulk wait (not one handoff per round), API.WalkOffsets and API.WalkPorts
-// submit whole multi-round walks the engine executes itself, and
+// submit whole multi-round walks the engine executes itself — a whole
+// EXPLO, out and back, is the single instruction WalkOffsets(xs, len(xs)),
+// retraced from the engine's own record of entry ports — and
 // interruption conditions are declarative Condition values (CardAtLeast,
 // CardChanged, LocalRoundReached, Any) evaluated engine-side via
 // API.RunUntil. Whenever every awake agent is mid-wait and no condition can
@@ -66,6 +68,12 @@
 // stability waits with WaitUntilFor(CardChanged(), d). Agent programs run
 // as coroutines the engine resumes once per instruction, never concurrently
 // with each other.
+//
+// Walks return no entry ports any more: WalkOffsets(xs, back) retraces the
+// last back of its moves itself, and both walks return only the smallest
+// CurCard observed. The old three-line EXPLO — entries, _ :=
+// a.WalkOffsets(xs); slices.Reverse(entries); a.WalkPorts(entries) —
+// becomes a.WalkOffsets(xs, len(xs)).
 //
 // # Batch runs
 //

@@ -67,9 +67,9 @@ func (c Condition) valid() bool {
 // armedCond is a Condition resolved against its arming context: CardChanged
 // needs the CurCard value observed when the condition was armed. The agent
 // side evaluates armedConds with condHolds; the engine evaluates the
-// wakeWindow compiled from them, which wakes in exactly the rounds in which
-// condHolds holds. That equivalence is what keeps engine-side evaluation
-// identical to per-round stepping.
+// wakeWindow compiled from them, which wakes exactly when condHolds reports
+// some armed condition holding. That equivalence is what keeps engine-side
+// evaluation identical to per-round stepping.
 type armedCond struct {
 	c    Condition
 	base int // CurCard at arming time, for CardChanged

@@ -19,7 +19,15 @@ import (
 // (or 1^i if nobody offered one), and k is the number of agents that offered
 // exactly that codeword (or 1 if nobody offered).
 func Communicate(a *sim.API, tm Timing, i int, s string, participate bool) (l string, k int) {
+	return communicate(a, tm, i, s, participate, nil)
+}
+
+// communicate is Communicate, building each step's run in buf. Each step is
+// ONE segment run (wait, EXPLO, wait) whose minimum covers the EXPLO from
+// its start, as ExploMinCard's does.
+func communicate(a *sim.API, tm Timing, i int, s string, participate bool, buf []sim.Segment) (l string, k int) {
 	t := tm.TExplo()
+	explo := tm.Seq.ExploSegment()
 	c := a.CurCard()
 	k = 1
 	lbuf := make([]byte, 0, i)
@@ -28,9 +36,8 @@ func Communicate(a *sim.API, tm Timing, i int, s string, participate bool) (l st
 	for j := 1; j <= i; j++ {
 		if active && j <= len(s) && s[j-1] == '0' {
 			// Transmitting a 0: step out for one EXPLO in the first window.
-			a.WaitRounds(t)
-			minCard := tm.Seq.ExploMinCard(a)
-			a.WaitRounds(3 * t)
+			buf = append(buf[:0], sim.WaitSegment(t), explo, sim.WaitSegment(3*t))
+			minCard := a.RunSegments(buf)
 			lbuf = append(lbuf, '0')
 			if c > 1 {
 				k = minCard
@@ -38,9 +45,8 @@ func Communicate(a *sim.API, tm Timing, i int, s string, participate bool) (l st
 		} else {
 			// Not transmitting this step: idle first, then EXPLO in the
 			// second window and observe who was missing.
-			a.WaitRounds(3 * t)
-			cPrime := tm.Seq.ExploMinCard(a)
-			a.WaitRounds(t)
+			buf = append(buf[:0], sim.WaitSegment(3*t), explo, sim.WaitSegment(t))
+			cPrime := a.RunSegments(buf)
 			if c == 1 || cPrime == c {
 				lbuf = append(lbuf, '1')
 			} else {

@@ -35,10 +35,15 @@ func NewProgram(seq *ues.Sequence) sim.Program {
 // (Theorem 3.1). Composite protocols (gossiping) continue from this state.
 func Execute(a *sim.API, tm Timing) int {
 	t := tm.TExplo()
+	explo := tm.Seq.ExploSegment()
 	// Phase 0 (lines 2-3): wake every dormant agent, return to start, wait.
 	tm.Seq.Explo(a)
 	a.WaitRounds(t)
 
+	// Each fixed schedule of a phase is one segment run, built in a buffer
+	// this agent reuses for every run: the engine reads it only while the
+	// agent is suspended on the run.
+	var segs []sim.Segment
 	for i := 1; ; i++ {
 		if i > maxPhases {
 			panic(fmt.Sprintf("gather: exceeded %d phases; algorithm bug", maxPhases))
@@ -47,16 +52,14 @@ func Execute(a *sim.API, tm Timing) int {
 		lambda := 0
 		// The paper's interruption condition "as soon as CurCard > c" in
 		// declarative form: the engine evaluates it while the agent sleeps
-		// through the phase's bulk waits, so whole idle stretches are
+		// through the phase's runs, so whole idle stretches are
 		// fast-forwarded instead of stepped.
 		moreAgents := sim.CardAtLeast(c + 1)
 
 		// Lines 8-14: meeting attempt by synchronized exploration.
 		a.RunUntil(moreAgents, func(a *sim.API) {
-			a.WaitRounds(tm.D(i))
-			tm.Seq.Explo(a)
-			a.WaitRounds(t)
-			tm.Seq.Explo(a)
+			segs = append(segs[:0], sim.WaitSegment(tm.D(i)), explo, sim.WaitSegment(t), explo)
+			a.RunSegments(segs)
 		})
 
 		if a.CurCard() > c {
@@ -64,7 +67,7 @@ func Execute(a *sim.API, tm Timing) int {
 			WaitStable(a, tm.D(i+1))
 		} else {
 			// Lines 18-22: movement-encoded communication within the group.
-			l, _ := Communicate(a, tm, i, bits.LabelCode(a.Label()), true)
+			l, _ := communicate(a, tm, i, bits.LabelCode(a.Label()), true, segs)
 			if dec, ok := bits.FindCodeword(l); ok {
 				if v, err := bits.ParseBin(dec); err == nil {
 					lambda = v
@@ -72,10 +75,10 @@ func Execute(a *sim.API, tm Timing) int {
 			}
 			// Lines 23-29: break inter-group invisibility with TZ(λ).
 			a.RunUntil(moreAgents, func(a *sim.API) {
-				a.WaitRounds(t)
-				tz.New(lambda, tm.Seq).Run(a, tm.D(i))
-				a.WaitRounds(t)
-				tm.Seq.Explo(a)
+				segs = append(segs[:0], sim.WaitSegment(t))
+				segs = tz.New(lambda, tm.Seq).Segments(segs, tm.D(i))
+				segs = append(segs, sim.WaitSegment(t), explo)
+				a.RunSegments(segs)
 			})
 			if a.CurCard() > c {
 				// Line 31.

@@ -9,13 +9,15 @@
 // against *API; the engine runs each one as a coroutine that suspends at
 // every instruction it submits. The agent↔engine contract is an
 // instruction contract the engine can reason about: TakePort submits a
-// one-round move, while WaitRounds(x) and WaitUntil(cond) submit a single
-// bulk wait instruction — not x per-round handoffs — annotated with the
-// declarative Conditions (condition.go) that may cut the wait short.
-// Because the engine sees wait intent and interruption conditions up front,
-// it can fast-forward the global clock over stretches in which every awake
-// agent is idle (engine.go), which is what makes the paper's astronomically
-// wait-heavy algorithms simulable at scale.
+// one-round move, while WaitRounds(x), WaitUntil(cond), the walks and
+// RunSegments each submit a single segment run — waits and walks the
+// engine executes in order without resuming the program, not one handoff
+// per round — annotated with the declarative Conditions (condition.go)
+// that may cut it short. Because the engine sees wait intent, walk routes
+// and interruption conditions up front, it can fast-forward the global
+// clock over stretches in which every awake agent is idle or walking
+// through quiet rounds (engine.go), which is what makes the paper's
+// astronomically wait-heavy algorithms simulable at scale.
 package sim
 
 import "fmt"
@@ -27,37 +29,50 @@ type observation struct {
 	entryPort  int // port through which the agent last entered; -1 before any move
 	curCard    int // number of agents (incl. self) at the current node
 
-	walkMin int // set only when the observation ends a bulk walk: its smallest post-move CurCard
+	walkMin int // set only when the observation ends a segment run: its minimum CurCard (maxInt: none)
 }
 
 // instruction is what an agent submits to the engine for its next rounds:
-// a one-round move through a port, a bulk walk of one move per round, or a
-// bulk wait of up to `rounds` rounds (unbounded when rounds < 0). Bulk
-// instructions end early as soon as one of the attached armed conditions
-// holds, handing control back to the agent for the usual interrupt check.
+// a one-round move through a port, or a segment run — waits and walks the
+// engine executes one after another without resuming the program. A run
+// ends early as soon as one of the attached armed conditions holds,
+// handing control back to the agent for the usual interrupt check.
 type instruction struct {
-	port   int       // >= 0: move through this port (other fields ignored)
-	walk   *walkSpec // non-nil: bulk walk, one move per round
-	rounds int       // wait duration in rounds; < 0 means until a condition fires
-	conds  []armedCond
+	port     int       // >= 0: move through this port (other fields ignored)
+	segs     []Segment // the run, read only while the program is suspended on it
+	conds    []armedCond
+	startMin bool // the run's minimum includes each walk's start card
 }
 
-// walkSpec describes a bulk walk the engine executes without per-round
-// agent handoffs: forward moves given by exactly one of offsets and ports,
-// then a retrace of the last back of them in reverse. The engine reads the
-// slices only while the agent is suspended on the walk.
-type walkSpec struct {
-	// offsets drives a universal-exploration-rule walk: in each round take
-	// port q = (entry + offsets[i]) mod degree, where entry is the port of
-	// last entry WITHIN the walk, starting at 0 (the UXS convention).
-	offsets []int
-	// ports is a literal walk: take ports[i] in round i (shortest-path
-	// walks).
-	ports []int
-	// back counts the retrace moves: each leaves through the entry port of
-	// the forward move it undoes, last forward move first.
-	back int
+// Segment is one step of a segment run (API.RunSegments): a wait of some
+// rounds (WaitSegment) or a walk (WalkSegment). A run skips empty
+// segments: waits of no rounds and walks of no moves.
+type Segment struct {
+	wait  int   // rounds of a wait; untilCond: until a condition fires
+	walk  []int // a walk's offsets, or its literal ports when ports is set
+	back  int   // retrace moves of an offsets walk
+	ports bool  // walk holds literal ports (WalkPorts)
 }
+
+// untilCond is the length of a wait that only a condition ends.
+const untilCond = -1
+
+// WaitSegment is a run's wait of n rounds; n <= 0 gives an empty segment.
+func WaitSegment(n int) Segment { return Segment{wait: max(n, 0)} }
+
+// WalkSegment is a walk under WalkOffsets' rules: len(offsets) moves by the
+// universal-exploration rule, then a retrace of the last back of them. back
+// must lie in [0, len(offsets)]; any other value is a program bug and
+// panics. The run reads offsets only while the program is suspended on it.
+func WalkSegment(offsets []int, back int) Segment {
+	if back < 0 || back > len(offsets) {
+		panic(fmt.Sprintf("sim: WalkOffsets retrace of %d moves outside [0, %d]", back, len(offsets)))
+	}
+	return Segment{walk: offsets, back: back}
+}
+
+// empty reports whether a run skips the segment.
+func (s *Segment) empty() bool { return len(s.walk) == 0 && s.wait == 0 }
 
 // Report carries the algorithm-specific results an agent program returns when
 // it declares completion.
@@ -87,9 +102,9 @@ type API struct {
 	frames []armedCond // conditions of the active RunUntil blocks, outermost first
 
 	// Per-instruction buffers, reused for every instruction: the engine
-	// reads an instruction's walk and conditions only when it accepts the
-	// instruction, while the program is suspended on it.
-	walkBuf walkSpec
+	// reads an instruction's segments and conditions only while the
+	// program is suspended on it.
+	segBuf  [1]Segment
 	condBuf []armedCond
 }
 
@@ -126,8 +141,8 @@ func (a *API) Wait() {
 // fires — at which point the usual interrupt unwinding happens exactly as it
 // would under per-round stepping.
 func (a *API) WaitRounds(x int) {
-	for x > 0 {
-		x -= a.bulkWait(x)
+	if x > 0 {
+		a.runOne(Segment{wait: x}, false)
 	}
 }
 
@@ -140,7 +155,7 @@ func (a *API) WaitRounds(x int) {
 // A condition that can never fire stalls the agent; the run then terminates
 // with ErrMaxRounds like any non-halting program.
 func (a *API) WaitUntil(cond Condition) int {
-	waited, _ := a.waitCond(cond, -1)
+	waited, _ := a.waitCond(cond, untilCond)
 	return waited
 }
 
@@ -151,7 +166,9 @@ func (a *API) WaitUntilFor(cond Condition, max int) (waited int, fired bool) {
 	return a.waitCond(cond, max)
 }
 
-// waitCond implements WaitUntil (budget < 0) and WaitUntilFor.
+// waitCond implements WaitUntil (budget untilCond) and WaitUntilFor: one
+// wait of the remaining budget with cond attached, repeated while neither
+// cond nor the budget ends it.
 func (a *API) waitCond(cond Condition, budget int) (waited int, fired bool) {
 	if !cond.valid() {
 		panic("sim: invalid Condition (use the condition constructors)")
@@ -164,31 +181,14 @@ func (a *API) waitCond(cond Condition, budget int) (waited int, fired bool) {
 		if budget >= 0 && waited >= budget {
 			return waited, false
 		}
-		rem := -1
+		rem := untilCond
 		if budget >= 0 {
 			rem = budget - waited
 		}
-		waited += a.bulkWait(rem, ac)
+		before := a.obs.localRound
+		a.runOne(Segment{wait: rem}, false, ac)
+		waited += a.obs.localRound - before
 	}
-}
-
-// bulkWait submits one wait instruction of up to x rounds (unbounded when
-// x < 0), attaching every active RunUntil condition plus extra, and returns
-// the number of rounds actually waited. On wake it re-checks the interrupt
-// frames, so a fired RunUntil condition unwinds exactly as under per-round
-// stepping.
-func (a *API) bulkWait(x int, extra ...armedCond) int {
-	before := a.obs.localRound
-	a.submit(instruction{port: -1, rounds: x, conds: a.armed(extra)})
-	a.checkInterrupts()
-	return a.obs.localRound - before
-}
-
-// armed returns the conditions of every active RunUntil frame plus extra,
-// in condBuf.
-func (a *API) armed(extra []armedCond) []armedCond {
-	a.condBuf = append(append(a.condBuf[:0], extra...), a.frames...)
-	return a.condBuf
 }
 
 // TakePort leaves the current node through port p and returns the port of
@@ -211,20 +211,18 @@ func (a *API) TakePort(p int) (entryPort int) {
 // returns the smallest CurCard observed after any of the moves.
 //
 // The whole walk, retrace included, is ONE engine-side instruction: the
-// engine computes each port itself and records the entry ports for the
+// engine computes each port itself and keeps the walk's trajectory for the
 // retrace, so no agent handoff happens until the walk completes or an
 // enclosing condition (RunUntil) fires — interrupting mid-walk exactly as
 // per-round stepping would. back must lie in [0, len(offsets)]; any other
-// value is a program bug and panics.
+// value is a program bug and panics. Offsets must not be negative: a walk
+// that reaches one fails the run, as a nonexistent port does.
 func (a *API) WalkOffsets(offsets []int, back int) (minCard int) {
-	if back < 0 || back > len(offsets) {
-		panic(fmt.Sprintf("sim: WalkOffsets retrace of %d moves outside [0, %d]", back, len(offsets)))
-	}
+	seg := WalkSegment(offsets, back)
 	if len(offsets) == 0 {
 		return a.obs.curCard
 	}
-	a.walkBuf = walkSpec{offsets: offsets, back: back}
-	return a.bulkWalk()
+	return a.runOne(seg, false)
 }
 
 // WalkPorts performs len(ports) moves, one per round, taking the given ports
@@ -235,19 +233,58 @@ func (a *API) WalkPorts(ports []int) (minCard int) {
 	if len(ports) == 0 {
 		return a.obs.curCard
 	}
-	a.walkBuf = walkSpec{ports: ports}
-	return a.bulkWalk()
+	return a.runOne(Segment{walk: ports, ports: true}, false)
 }
 
-// bulkWalk submits the walk in walkBuf as one instruction with every active
-// RunUntil condition attached, then re-checks the frames on wake so a fired
-// condition unwinds the walk mid-flight, exactly as under per-round
-// stepping.
-func (a *API) bulkWalk() (minCard int) {
-	a.submit(instruction{port: -1, walk: &a.walkBuf, conds: a.armed(nil)})
+// RunSegments executes segs in order as ONE instruction: the engine crosses
+// from each segment to the next itself, in the round where the program
+// would have submitted it, so a run behaves round for round like the same
+// waits and walks submitted one at a time. An enclosing condition
+// (RunUntil) that fires inside the run, or on a segment boundary,
+// interrupts it exactly as it would those calls. Empty segments are
+// skipped.
+//
+// It returns the smallest CurCard observed at the start of any walk of the
+// run and after each of its moves — for a run of one EXPLO, what
+// ues.Sequence.ExploMinCard returns — or the current CurCard when the run
+// makes no move. The engine reads segs, and the walks' offsets, only while
+// the program is suspended on the run, so the program may reuse the slice
+// for its next run.
+func (a *API) RunSegments(segs []Segment) (minCard int) {
+	for i := range segs {
+		if !segs[i].empty() {
+			return a.run(segs, true)
+		}
+	}
+	return a.obs.curCard
+}
+
+// runOne submits the one-segment run seg (see run).
+func (a *API) runOne(seg Segment, startMin bool, extra ...armedCond) (minCard int) {
+	a.segBuf[0] = seg
+	return a.run(a.segBuf[:], startMin, extra...)
+}
+
+// run submits segs, which hold a nonempty segment, as one instruction with
+// every active RunUntil condition plus extra attached, then re-checks the
+// frames on wake so a fired condition unwinds the run mid-flight, exactly
+// as under per-round stepping. It returns the run's minimum CurCard (see
+// RunSegments; walk start cards only when startMin is set).
+func (a *API) run(segs []Segment, startMin bool, extra ...armedCond) (minCard int) {
+	a.submit(instruction{port: -1, segs: segs, conds: a.armed(extra), startMin: startMin})
 	minCard = a.obs.walkMin
+	if minCard == maxInt {
+		minCard = a.obs.curCard
+	}
 	a.checkInterrupts()
 	return minCard
+}
+
+// armed returns the conditions of every active RunUntil frame plus extra,
+// in condBuf.
+func (a *API) armed(extra []armedCond) []armedCond {
+	a.condBuf = append(append(a.condBuf[:0], extra...), a.frames...)
+	return a.condBuf
 }
 
 // OracleGraphSize returns the true number of nodes of the graph.

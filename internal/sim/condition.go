@@ -104,25 +104,26 @@ const never = maxInt
 // wakeWindow is the wake test of a sleeping agent, compiled once when the
 // engine accepts its instruction: the agent stays asleep while the round is
 // before deadline and its CurCard lies in [lo, hi]. The deadline is the
-// earliest of the wait's expiry and every LocalRoundReached round; each
-// card condition narrows the window to the cards at which it does not hold.
+// earliest LocalRoundReached round; each card condition narrows the window
+// to the cards at which it does not hold. The end of the current wait or
+// walk is kept apart, in the agent's runState.
 type wakeWindow struct {
 	lo, hi   int
 	deadline int
 }
 
 // wakes reports whether the agent must be resumed in round r at CurCard
-// card: its wait expired or some armed condition holds.
+// card: some armed condition holds.
 func (w wakeWindow) wakes(r, card int) bool {
 	return r >= w.deadline || card < w.lo || card > w.hi
 }
 
-// compileWake folds a wait expiry (never for none) and the armed conditions
-// into one wakeWindow; wokeAt translates local rounds into global ones. In
-// every round r the result wakes exactly when r >= expiry or some armed
-// condition holds by condHolds — the test the agent side applies.
-func compileWake(expiry int, conds []armedCond, wokeAt int) wakeWindow {
-	w := wakeWindow{lo: 0, hi: maxInt, deadline: expiry} // cards are never negative
+// compileWake folds the armed conditions into one wakeWindow; wokeAt
+// translates local rounds into global ones. In every round r the result
+// wakes exactly when some armed condition holds by condHolds — the test the
+// agent side applies.
+func compileWake(conds []armedCond, wokeAt int) wakeWindow {
+	w := wakeWindow{lo: 0, hi: maxInt, deadline: never} // cards are never negative
 	for _, ac := range conds {
 		w.add(ac.c, ac.base, wokeAt)
 	}

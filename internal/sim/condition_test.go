@@ -551,9 +551,8 @@ func TestAdversaryWakeEndsSkip(t *testing.T) {
 func TestCompiledWakeMatchesCondHolds(t *testing.T) {
 	// The engine's compiled wake test must agree with the agent side's:
 	// over random condition trees (all three leaf kinds, Any nested up to
-	// depth 3), arming cards, wake rounds and wait expiries, compileWake
-	// wakes at exactly the rounds and cards at which the wait expired or
-	// some armed condition holds.
+	// depth 3), arming cards and wake rounds, compileWake wakes at exactly
+	// the rounds and cards at which some armed condition holds.
 	rng := rand.New(rand.NewSource(14))
 	var tree func(depth int) Condition
 	tree = func(depth int) Condition {
@@ -578,20 +577,16 @@ func TestCompiledWakeMatchesCondHolds(t *testing.T) {
 		for i := range conds {
 			conds[i] = armedCond{c: tree(0), base: rng.Intn(9)}
 		}
-		expiry := never
-		if rng.Intn(2) == 0 {
-			expiry = wokeAt + rng.Intn(40)
-		}
-		w := compileWake(expiry, conds, wokeAt)
+		w := compileWake(conds, wokeAt)
 		for r := wokeAt; r <= wokeAt+40; r++ {
 			for card := 0; card <= 8; card++ {
-				want := r >= expiry
+				want := false
 				for _, ac := range conds {
 					want = want || ac.holds(card, r-wokeAt)
 				}
 				if got := w.wakes(r, card); got != want {
-					t.Fatalf("trial %d: conds %+v armed after waking at %d, expiry %d: wakes(%d, card %d) = %v, want %v (window %+v)",
-						trial, conds, wokeAt, expiry, r, card, got, want, w)
+					t.Fatalf("trial %d: conds %+v armed after waking at %d: wakes(%d, card %d) = %v, want %v (window %+v)",
+						trial, conds, wokeAt, r, card, got, want, w)
 				}
 			}
 		}
@@ -609,6 +604,219 @@ func BenchmarkWalkRetrace(b *testing.B) {
 				a.WalkOffsets(offsets, len(offsets))
 			}
 		})
+		return Report{}
+	}
+	sc := Scenario{Graph: graph.Ring(16), Agents: []AgentSpec{
+		{Label: 1, Start: 0, WakeRound: 0, Program: prog},
+		{Label: 2, Start: 8, WakeRound: 0, Program: prog},
+	}}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Run(sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// oneAtATime submits segs as separate calls, the form a segment run
+// replaces, and returns the run's minimum as RunSegments defines it.
+func oneAtATime(a *API, segs []Segment) (minCard int) {
+	minCard = maxInt
+	for _, s := range segs {
+		switch {
+		case len(s.walk) > 0:
+			start := a.CurCard()
+			minCard = min(minCard, start, a.WalkOffsets(s.walk, s.back))
+		case s.wait > 0:
+			a.WaitRounds(s.wait)
+		}
+	}
+	if minCard == maxInt {
+		return a.CurCard()
+	}
+	return minCard
+}
+
+func TestSegmentRunMatchesOneAtATime(t *testing.T) {
+	// A segment run must behave round for round like its waits and walks
+	// submitted one at a time: the same positions in every round, the same
+	// results (stepped rounds and moves included), the same minimum, and
+	// the same interruption round when an enclosing condition fires inside
+	// a wait, inside a walk, or exactly on a segment boundary.
+	g := graph.Ring(8)
+	xs := []int{0, 1, 1, 1}
+	segs := []Segment{WaitSegment(5), WalkSegment(xs, 4), WaitSegment(0), WalkSegment(xs[:2], 1), WaitSegment(4)}
+	// The run's segments end in local rounds 5, 13, 16 and 20. The other
+	// agent comes from node 3 to the runner's start in rounds 0-2 and
+	// leaves again in round 6.
+	other := func(a *API) Report {
+		a.WalkPorts([]int{1, 1, 1})
+		a.WaitRounds(3)
+		a.WalkPorts([]int{0})
+		a.WaitRounds(20)
+		return Report{}
+	}
+	cases := []struct {
+		name string
+		cond Condition
+		at   int // local round the frame fires in; -1 for none
+	}{
+		{"no-interrupt", CardAtLeast(5), -1},
+		{"inside-wait", CardAtLeast(2), 3},
+		{"inside-walk", LocalRoundReached(7), 7},
+		{"on-boundary", LocalRoundReached(13), 13},
+	}
+	for _, c := range cases {
+		type outcome struct {
+			trace []int
+			res   *RunResult
+			min   int
+			at    int
+		}
+		runForm := func(form func(*API, []Segment) int, stepped bool) outcome {
+			var o outcome
+			o.min, o.at = -1, -1
+			runner := func(a *API) Report {
+				if a.RunUntil(c.cond, func(a *API) { o.min = form(a, segs) }) {
+					o.at = a.LocalRound()
+				}
+				return Report{}
+			}
+			sc := Scenario{Graph: g, Agents: []AgentSpec{
+				{Label: 1, Start: 0, WakeRound: 0, Program: runner},
+				{Label: 2, Start: 3, WakeRound: 0, Program: other},
+			}}
+			if stepped {
+				o.trace, o.res = positionTrace(t, sc)
+				return o
+			}
+			var err error
+			if o.res, err = Run(sc); err != nil {
+				t.Fatal(err)
+			}
+			return o
+		}
+		for _, stepped := range []bool{false, true} {
+			got := runForm((*API).RunSegments, stepped)
+			want := runForm(oneAtATime, stepped)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (stepped %v): segment run %+v, one at a time %+v", c.name, stepped, got, want)
+			}
+			if got.at != c.at {
+				t.Errorf("%s (stepped %v): interrupted in local round %d, want %d", c.name, stepped, got.at, c.at)
+			}
+		}
+	}
+}
+
+func TestRandomSegmentRunsMatchOneAtATime(t *testing.T) {
+	// Random segment lists, including empty segments, under random frames
+	// on random graphs, beside agents taking random single steps: a run and
+	// its one-at-a-time form must agree round for round.
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 300; trial++ {
+		n := 3 + rng.Intn(6)
+		g := graph.GNP(n, 0.5, rng.Int63())
+		segs := make([]Segment, 1+rng.Intn(6))
+		for i := range segs {
+			if rng.Intn(2) == 0 {
+				segs[i] = WaitSegment(rng.Intn(6))
+				continue
+			}
+			xs := make([]int, rng.Intn(7))
+			for j := range xs {
+				xs[j] = rng.Intn(4)
+			}
+			segs[i] = WalkSegment(xs, rng.Intn(len(xs)+1))
+		}
+		conds := []Condition{CardAtLeast(2 + rng.Intn(2)), CardChanged(), LocalRoundReached(rng.Intn(30))}
+		cond := conds[rng.Intn(len(conds))]
+		starts := rng.Perm(n)[:2]
+		seed := rng.Int63()
+		for _, stepped := range []bool{false, true} {
+			var results [2]struct {
+				trace []int
+				res   *RunResult
+				min   int
+				hit   bool
+			}
+			for f, form := range []func(*API, []Segment) int{(*API).RunSegments, oneAtATime} {
+				o := &results[f]
+				walker := func(a *API) Report {
+					o.hit = a.RunUntil(cond, func(a *API) { o.min = form(a, segs) })
+					return Report{}
+				}
+				stepper := func(a *API) Report {
+					r := rand.New(rand.NewSource(seed))
+					for range 40 {
+						if r.Intn(2) == 0 {
+							a.Wait()
+						} else {
+							a.TakePort(r.Intn(a.Degree()))
+						}
+					}
+					return Report{}
+				}
+				sc := Scenario{Graph: g, Agents: []AgentSpec{
+					{Label: 1, Start: starts[0], WakeRound: 0, Program: walker},
+					{Label: 2, Start: starts[1], WakeRound: 0, Program: stepper},
+				}}
+				if stepped {
+					o.trace, o.res = positionTrace(t, sc)
+					continue
+				}
+				var err error
+				if o.res, err = Run(sc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(results[0], results[1]) {
+				t.Fatalf("trial %d (stepped %v): segments %+v under %+v:\n run:          %+v\n one at a time: %+v",
+					trial, stepped, segs, cond, results[0], results[1])
+			}
+		}
+	}
+}
+
+func TestWalkOffsetsNegativeOffsetFailsRun(t *testing.T) {
+	// A negative offset is a program bug. The walk that reaches one fails
+	// the run, naming the agent, the offset and the round, as a
+	// nonexistent port does; a walk interrupted before it does not. On the
+	// two-node graph every offset walk alternates between the nodes, so the
+	// second walk starts where the first did and reuses its route.
+	prog := func(a *API) Report {
+		a.RunUntil(LocalRoundReached(1), func(a *API) { a.WalkOffsets([]int{1, -1}, 0) })
+		a.TakePort(0)
+		a.WalkOffsets([]int{1, -1}, 1)
+		return Report{}
+	}
+	for _, stepped := range []bool{false, true} {
+		sc := Scenario{Graph: graph.TwoNodes(), Agents: []AgentSpec{{Label: 7, Start: 0, WakeRound: 0, Program: prog}}}
+		if stepped {
+			sc.OnRound = func(RoundView) {}
+		}
+		_, err := Run(sc)
+		if want := "sim: agent label 7 walked negative offset -1 in round 3"; err == nil || err.Error() != want {
+			t.Errorf("stepped %v: got error %v, want %q", stepped, err, want)
+		}
+	}
+}
+
+// BenchmarkSegmentRun measures the engine on a TZ-shaped segment run: two
+// agents each run 40 segments, alternating 26-round waits and 13-move
+// EXPLO round trips, as one instruction inside a CardAtLeast frame.
+func BenchmarkSegmentRun(b *testing.B) {
+	offsets := []int{1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1}
+	prog := func(a *API) Report {
+		segs := make([]Segment, 40)
+		for i := range segs {
+			if i%2 == 0 {
+				segs[i] = WaitSegment(2 * len(offsets))
+			} else {
+				segs[i] = WalkSegment(offsets, len(offsets))
+			}
+		}
+		a.RunUntil(CardAtLeast(3), func(a *API) { a.RunSegments(segs) })
 		return Report{}
 	}
 	sc := Scenario{Graph: graph.Ring(16), Agents: []AgentSpec{

@@ -7,8 +7,10 @@
 package sim_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nochatter/internal/gather"
@@ -23,15 +25,26 @@ import (
 // test on any observable divergence. It returns the event-driven result.
 func runBoth(t *testing.T, name string, sc sim.Scenario) *sim.RunResult {
 	t.Helper()
-	event, err := sim.Run(sc)
+	res, err := runBothErr(t, name, sc)
 	if err != nil {
-		t.Fatalf("%s: event-driven run failed: %v", name, err)
+		t.Fatalf("%s: both runs failed: %v", name, err)
 	}
+	return res
+}
+
+// runBothErr is runBoth for runs that may fail: the two engines must fail
+// with the same error, or agree on every result.
+func runBothErr(t *testing.T, name string, sc sim.Scenario) (*sim.RunResult, error) {
+	t.Helper()
+	event, err := sim.Run(sc)
 	stepped := sc
 	stepped.OnRound = func(sim.RoundView) {}
-	perRound, err := sim.Run(stepped)
+	perRound, perErr := sim.Run(stepped)
+	if (err == nil) != (perErr == nil) || err != nil && err.Error() != perErr.Error() {
+		t.Fatalf("%s: errors diverge: event-driven %v, per-round %v", name, err, perErr)
+	}
 	if err != nil {
-		t.Fatalf("%s: per-round run failed: %v", name, err)
+		return nil, err
 	}
 	if event.Rounds != perRound.Rounds {
 		t.Errorf("%s: rounds diverge: event-driven %d, per-round %d", name, event.Rounds, perRound.Rounds)
@@ -40,11 +53,14 @@ func runBoth(t *testing.T, name string, sc sim.Scenario) *sim.RunResult {
 		t.Errorf("%s: agent results diverge:\n event-driven: %+v\n per-round:    %+v",
 			name, event.Agents, perRound.Agents)
 	}
+	if event.Moves != perRound.Moves {
+		t.Errorf("%s: moves diverge: event-driven %d, per-round %d", name, event.Moves, perRound.Moves)
+	}
 	if event.SteppedRounds > perRound.SteppedRounds {
 		t.Errorf("%s: event-driven engine stepped %d rounds, more than per-round's %d",
 			name, event.SteppedRounds, perRound.SteppedRounds)
 	}
-	return event
+	return event, nil
 }
 
 func TestDifferentialGather(t *testing.T) {
@@ -185,5 +201,135 @@ func TestDifferentialSkipIsReal(t *testing.T) {
 	}
 	if res.SteppedRounds*2 >= res.Rounds {
 		t.Errorf("no fast-forward win: stepped %d of %d simulated rounds", res.SteppedRounds, res.Rounds)
+	}
+}
+
+// TestDifferentialQuietStretches runs walks whose quiet stretches end in
+// each of the ways the engine must notice, against per-round stepping. On
+// an 8-ring, offsets 0,1,1,… walk clockwise and 1,1,… counter-clockwise.
+func TestDifferentialQuietStretches(t *testing.T) {
+	ccw := func(n int) []int { return slices.Repeat([]int{1}, n) }
+	cw := func(n int) []int { return append([]int{0}, ccw(n-1)...) }
+	walk := func(xs []int, back int) sim.Program {
+		return func(a *sim.API) sim.Report {
+			a.WalkOffsets(xs, back)
+			return sim.Report{}
+		}
+	}
+	halt := func(a *sim.API) sim.Report { return sim.Report{} }
+	type tc struct {
+		name   string
+		max    int // MaxRounds; 0 for the default
+		agents []sim.AgentSpec
+		woken  []int // expected WokenRound per agent; nil = not checked
+		fails  bool  // the run ends in ErrMaxRounds
+	}
+	cases := []tc{
+		// The walker reaches the dormant agent's node in round 4; the visit
+		// wakes it mid-walk.
+		{name: "visit-wakes-dormant", agents: []sim.AgentSpec{
+			{Label: 1, Start: 0, Program: walk(cw(6), 6)},
+			{Label: 2, Start: 4, WakeRound: sim.DormantUntilVisited, Program: func(a *sim.API) sim.Report {
+				a.WaitRounds(5)
+				return sim.Report{}
+			}},
+		}, woken: []int{0, 4}},
+		// An adversarial wake round inside the walk ends the stretch too.
+		{name: "adversary-wakes-mid-walk", agents: []sim.AgentSpec{
+			{Label: 1, Start: 0, Program: walk(cw(6), 6)},
+			{Label: 2, Start: 6, WakeRound: 3, Program: halt},
+		}, woken: []int{0, 3}},
+		// The walker passes a sleeping agent, which sees its card change
+		// but sleeps on, and one that waits for company.
+		{name: "passes-sleepers", agents: []sim.AgentSpec{
+			{Label: 1, Start: 0, Program: walk(cw(6), 6)},
+			{Label: 2, Start: 2, Program: func(a *sim.API) sim.Report {
+				a.WaitRounds(30)
+				return sim.Report{}
+			}},
+			{Label: 3, Start: 4, Program: func(a *sim.API) sim.Report {
+				a.WaitUntil(sim.CardAtLeast(2))
+				a.WaitRounds(2)
+				return sim.Report{}
+			}},
+		}},
+		// Two single walkers swap across an edge without ever sharing a
+		// node: no card changes, so the stretch runs on.
+		{name: "swap-on-edge", agents: []sim.AgentSpec{
+			{Label: 1, Start: 0, Program: walk(cw(6), 6)},
+			{Label: 2, Start: 5, Program: walk(ccw(6), 6)},
+		}},
+		// A group of two walks as one for two moves, then splits, as in
+		// Communicate's transmit-0 step.
+		{name: "group-splits", agents: []sim.AgentSpec{
+			{Label: 1, Start: 0, Program: func(a *sim.API) sim.Report {
+				a.RunSegments([]sim.Segment{sim.WaitSegment(1), sim.WalkSegment(cw(4), 4), sim.WaitSegment(3)})
+				return sim.Report{}
+			}},
+			{Label: 2, Start: 1, Program: func(a *sim.API) sim.Report {
+				a.TakePort(1) // joins agent 1 at node 0 in round 1
+				a.WalkOffsets([]int{0, 1, 0, 1}, 4)
+				return sim.Report{}
+			}},
+		}},
+		// A LocalRoundReached deadline interrupts one walker mid-walk while
+		// the other walks on.
+		{name: "deadline-mid-walk", agents: []sim.AgentSpec{
+			{Label: 1, Start: 0, Program: func(a *sim.API) sim.Report {
+				a.RunUntil(sim.LocalRoundReached(5), func(a *sim.API) { a.WalkOffsets(cw(7), 7) })
+				a.WaitRounds(3)
+				return sim.Report{}
+			}},
+			{Label: 2, Start: 5, Program: walk(ccw(3), 3)},
+		}},
+		// MaxRounds falls inside a stretch: both engines fail alike.
+		{name: "max-rounds-mid-stretch", max: 7, agents: []sim.AgentSpec{
+			{Label: 1, Start: 0, Program: walk(cw(7), 7)},
+			{Label: 2, Start: 5, Program: walk(ccw(7), 7)},
+		}, fails: true},
+	}
+	for _, c := range cases {
+		sc := sim.Scenario{Graph: graph.Ring(8), Agents: c.agents, MaxRounds: c.max}
+		res, err := runBothErr(t, c.name, sc)
+		// Every case must apply some quiet rounds in bulk, or it tests
+		// nothing about how stretches end.
+		if _, processed, _ := sim.RunProcessed(sc); res != nil && processed >= res.SteppedRounds || res == nil && processed > c.max {
+			t.Errorf("%s: processed %d rounds one by one, no quiet stretch", c.name, processed)
+		}
+		if c.fails {
+			if !errors.Is(err, sim.ErrMaxRounds) {
+				t.Errorf("%s: got %v, want ErrMaxRounds", c.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for i, w := range c.woken {
+			if got := res.Agents[i].WokenRound; got != w {
+				t.Errorf("%s: agent %d woke in round %d, want %d", c.name, i, got, w)
+			}
+		}
+	}
+}
+
+// TestQuietRoundsFastForwarded asserts the quiet-round fast-forward is
+// real: on a two-agent known-bound ring run, the round loop processes
+// fewer than a quarter of the run's active rounds one by one.
+func TestQuietRoundsFastForwarded(t *testing.T) {
+	g := graph.Ring(8)
+	seq := ues.Build(g)
+	res, processed, err := sim.RunProcessed(sim.Scenario{
+		Graph: g,
+		Agents: []sim.AgentSpec{
+			{Label: 1, Start: 0, WakeRound: 0, Program: gather.NewProgram(seq)},
+			{Label: 2, Start: 4, WakeRound: 0, Program: gather.NewProgram(seq)},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if processed*4 >= res.SteppedRounds {
+		t.Errorf("processed %d of %d active rounds one by one, want under a quarter", processed, res.SteppedRounds)
 	}
 }

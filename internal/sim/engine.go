@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -137,18 +138,19 @@ func SimulatedRounds() (logical, stepped int64) {
 }
 
 // agentState is the engine-side state of one agent. The fields the round
-// loop reads in every stepped round come first.
+// loop reads in every processed round come first.
 type agentState struct {
 	node     int
 	awake    bool
 	halted   bool
-	sleeping bool       // suspended on a bulk instruction the engine advances without resuming it
-	wake     wakeWindow // while sleeping: when the pending instruction ends (see compileWake)
-	walk     walkState  // in-progress bulk walk (walk.n > 0), one engine-computed move per round
+	sleeping bool       // suspended on an instruction the engine advances without resuming it
+	wake     wakeWindow // while sleeping: the compiled armed conditions (see compileWake)
+	run      runState   // while sleeping: progress through the instruction's segments
 
 	wokeAt    int
 	entryPort int
 	api       *API
+	route     route // the trajectory of the agent's last offsets walk
 
 	// next resumes the program's coroutine (nil until the agent first
 	// runs). It returns the next instruction submitted, or false once the
@@ -180,55 +182,154 @@ func (st *agentState) start() (stop func()) {
 	return stop
 }
 
-// walkState is the engine-side progress of one bulk walk: the forward moves
-// of its walkSpec, then the retrace of the last back of them in reverse.
-// Each agent has one; its entries buffer is reused across walks.
+// runState is the engine-side progress of a sleeping agent's instruction:
+// its current segment and the segments after it, read from the program's
+// slice while the program is suspended. A one-round move leaves a run with
+// no segments whose wait ends in the next round.
+type runState struct {
+	rest     []Segment // the segments after the current one
+	end      int       // while waiting: the round the wait ends, or never
+	walk     walkState // the current walk; walk.n == 0 while waiting
+	minCard  int       // the run's minimum CurCard so far (maxInt: none yet)
+	startMin bool      // fold each walk's start card into minCard
+}
+
+// walkState is the progress of one walk segment: its forward moves, then
+// the retrace of the last back of them in reverse.
 type walkState struct {
-	walkSpec
-	fwd     int   // forward moves
-	n       int   // all moves, fwd + back; 0 when no walk is in progress
-	i       int   // next move index
-	entry   int   // UXS-rule entry state (offsets mode), 0 at walk start
-	minCard int   // smallest post-move CurCard so far
-	entries []int // entry ports of the forward moves, recorded when back > 0
+	ports []int // literal ports; nil for an offsets walk, read from the agent's route
+	fwd   int   // forward moves
+	n     int   // all moves, fwd + back; 0 when no walk is in progress
+	i     int   // next move index
 }
 
-// begin starts a walk, keeping the entries buffer of earlier ones.
-func (w *walkState) begin(spec walkSpec) {
-	w.walkSpec = spec
-	w.fwd = len(spec.offsets) + len(spec.ports)
-	w.n = w.fwd + spec.back
-	w.i, w.entry, w.minCard = 0, 0, maxInt
-	w.entries = w.entries[:0]
+// route memoizes the trajectory of an agent's last offsets walk: for each
+// forward move, the exit port, the node reached and the entry port there.
+// A walk from the same start whose offsets are a prefix of the route's
+// reads its forward moves from it, and its retrace backwards, instead of
+// computing ports and traversing edges. offsets is a private copy, because
+// the engine reads program slices only while the program is suspended. A
+// route stops before the first negative offset: no walk may take it.
+type route struct {
+	start   int
+	offsets []int
+	steps   []routeStep
 }
 
-// nextPort computes the port of move i at the given node and advances. A
-// retrace move takes the entry port of the forward move it undoes.
-func (w *walkState) nextPort(g *graph.Graph, node int) (int, error) {
-	var p int
-	switch {
-	case w.i >= w.fwd:
-		p = w.entries[2*w.fwd-1-w.i]
-	case w.offsets != nil:
-		p = (w.entry + w.offsets[w.i]) % g.Degree(node)
-		w.i++
-		return p, nil
-	default:
-		p = w.ports[w.i]
+type routeStep struct{ port, to, entry int }
+
+// prepare makes rt the route of offsets from start, keeping it when it
+// already covers them.
+func (rt *route) prepare(g *graph.Graph, start int, offsets []int) {
+	if rt.start == start && len(offsets) <= len(rt.offsets) && slices.Equal(offsets, rt.offsets[:len(offsets)]) {
+		return
 	}
-	if !g.HasPort(node, p) {
-		return 0, fmt.Errorf("walked nonexistent port %d at a degree-%d node", p, g.Degree(node))
+	rt.start = start
+	rt.offsets = append(rt.offsets[:0], offsets...)
+	rt.steps = rt.steps[:0]
+	node, entry := start, 0
+	for _, x := range offsets {
+		if x < 0 {
+			break
+		}
+		p := (entry + x) % g.Degree(node)
+		to, e := g.Traverse(node, p)
+		rt.steps = append(rt.steps, routeStep{port: p, to: to, entry: e})
+		node, entry = to, e
 	}
+}
+
+// next returns the destination and entry port of an offsets walk's next
+// move, read from its route rt, and advances. A retrace move leaves through
+// the entry port of the forward move it undoes and arrives where that move
+// left from.
+func (w *walkState) next(rt *route) (to, entry int) {
+	i := w.i
 	w.i++
-	return p, nil
+	if i < w.fwd {
+		s := &rt.steps[i]
+		return s.to, s.entry
+	}
+	k := 2*w.fwd - 1 - i
+	to = rt.start
+	if k > 0 {
+		to = rt.steps[k-1].to
+	}
+	return to, rt.steps[k].port
 }
 
-// moved records the entry port of the move just applied.
-func (w *walkState) moved(entry int) {
-	w.entry = entry
-	if w.back > 0 && w.i <= w.fwd {
-		w.entries = append(w.entries, entry)
+// onRoute returns how many more moves of the agent's offsets walk its route
+// holds: all of them, unless the walk reaches a negative offset.
+func (st *agentState) onRoute() int {
+	w := &st.run.walk
+	if len(st.route.steps) < w.fwd {
+		return len(st.route.steps) - w.i
 	}
+	return w.n - w.i
+}
+
+// move is one agent's move in the current round, applied with all others
+// at the round's end.
+type move struct {
+	st        *agentState
+	to, entry int
+}
+
+// walkMove returns the agent's next walk move, made in round r, and
+// advances the walk. A nonexistent port or a negative offset fails the run.
+func (st *agentState) walkMove(g *graph.Graph, r int) (move, error) {
+	w := &st.run.walk
+	var err error
+	switch {
+	case w.ports != nil:
+		p := w.ports[w.i]
+		if !g.HasPort(st.node, p) {
+			err = fmt.Errorf("walked nonexistent port %d at a degree-%d node", p, g.Degree(st.node))
+			break
+		}
+		w.i++
+		to, entry := g.Traverse(st.node, p)
+		return move{st, to, entry}, nil
+	case st.onRoute() > 0:
+		to, entry := w.next(&st.route)
+		return move{st, to, entry}, nil
+	default:
+		err = fmt.Errorf("walked negative offset %d", st.route.offsets[w.i])
+	}
+	return move{}, fmt.Errorf("sim: agent label %d %v in round %d", st.spec.Label, err, r)
+}
+
+// advance starts the next nonempty segment of the agent's run in round r,
+// at CurCard card. It reports false when no segment is left.
+func (st *agentState) advance(g *graph.Graph, r, card int) bool {
+	ru := &st.run
+	w := &ru.walk
+	w.n = 0
+	for len(ru.rest) > 0 {
+		seg := &ru.rest[0]
+		ru.rest = ru.rest[1:]
+		switch {
+		case len(seg.walk) > 0:
+			w.i, w.fwd = 0, len(seg.walk)
+			if seg.ports {
+				w.ports, w.n = seg.walk, w.fwd
+			} else {
+				w.ports, w.n = nil, w.fwd+seg.back
+				st.route.prepare(g, st.node, seg.walk)
+			}
+			if ru.startMin {
+				ru.minCard = min(ru.minCard, card)
+			}
+			return true
+		case seg.wait == untilCond:
+			ru.end = never
+			return true
+		case seg.wait > 0:
+			ru.end = r + seg.wait
+			return true
+		}
+	}
+	return false
 }
 
 // Run executes the scenario to completion (all agents halted) and returns the
@@ -240,22 +341,33 @@ func (w *walkState) moved(entry int) {
 // with each other. No program outlives Run; one still suspended when the run
 // fails is unwound before Run returns.
 //
-// The engine is event-driven: agents submit bulk wait instructions, so a
-// sleeping agent costs nothing per round, and when every awake agent is
-// mid-wait and no engine-evaluable condition, wait expiry or scheduled
-// wake-up can fire before round R, the global clock jumps straight to R.
-// Observations are invariant while nobody moves — positions, and hence every
-// CurCard, are frozen — so the fast-forward is unobservable to agents. The
-// engine falls back to per-round stepping whenever Scenario.OnRound is set
-// (the hook must see every round) or an agent keeps itself live through
-// per-round calls.
+// The engine is event-driven. Agents submit segment runs — waits and walks
+// the engine executes without resuming the program, crossing from one
+// segment to the next itself — so a sleeping agent costs nothing per round
+// and a walking one only its moves. When every awake agent is mid-wait and
+// no engine-evaluable condition, wait expiry or scheduled wake-up can fire
+// before round R, the global clock jumps straight to R: positions, and
+// hence every CurCard, are frozen. After a round with moves, the engine
+// applies the quiet rounds that follow in bulk (see quietRounds): rounds in
+// which walkers move along their routes, no CurCard changes and nothing
+// else happens. Neither shortcut is observable to agents. The engine falls
+// back to per-round stepping whenever Scenario.OnRound is set: the hook
+// must see every round.
 //
 // The round loop keeps its state incrementally: node occupancy changes only
 // with applied moves, and each instruction's wake test is compiled once,
 // when the engine accepts it.
 func Run(sc Scenario) (*RunResult, error) {
+	res, _, err := run(sc)
+	return res, err
+}
+
+// run is Run, also returning the number of rounds the round loop processed
+// one by one; the others of the run's SteppedRounds were quiet rounds
+// applied in bulk.
+func run(sc Scenario) (res *RunResult, processed int, err error) {
 	if err := Validate(sc); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	maxRounds := sc.MaxRounds
 	if maxRounds <= 0 {
@@ -285,11 +397,8 @@ func Run(sc Scenario) (*RunResult, error) {
 		view = RoundView{Positions: make([]int, n), Awake: make([]bool, n), Halted: make([]bool, n)}
 	}
 
-	type pending struct {
-		st   *agentState
-		port int
-	}
-	moves := make([]pending, 0, n)
+	moves := make([]move, 0, n)
+	quiet := quietBuf{cards: make([]int, n), walkers: make([]*agentState, 0, n)}
 
 	asleep := n // agents not yet woken
 	live := n   // agents not yet halted
@@ -298,8 +407,9 @@ func Run(sc Scenario) (*RunResult, error) {
 	totalMoves := 0
 	for r := 0; ; {
 		if r > maxRounds {
-			return nil, fmt.Errorf("%w (%d)", ErrMaxRounds, maxRounds)
+			return nil, processed, fmt.Errorf("%w (%d)", ErrMaxRounds, maxRounds)
 		}
+		processed++
 		steppedRounds++
 		if asleep > 0 {
 			// An agent not yet awake wakes at its adversarial wake round,
@@ -326,8 +436,8 @@ func Run(sc Scenario) (*RunResult, error) {
 			sc.OnRound(view)
 		}
 		// Deliver observations and collect instructions, in fixed agent
-		// order. Sleeping agents whose instruction neither ends nor fires
-		// are passed over without resuming their programs.
+		// order. Sleeping agents whose run neither ends nor fires are
+		// passed over without resuming their programs.
 		moves = moves[:0]
 		for i := range states {
 			st := &states[i]
@@ -337,27 +447,29 @@ func Run(sc Scenario) (*RunResult, error) {
 			card := cardAt[st.node]
 			walkMin := 0
 			if st.sleeping {
-				if w := &st.walk; w.n > 0 {
+				ru := &st.run
+				w := &ru.walk
+				if w.n > 0 {
 					// Every round of a walk is post-move: fold the fresh
-					// CurCard into the walk minimum before the wake test.
-					w.minCard = min(w.minCard, card)
-					if w.i < w.n && !st.wake.wakes(r, card) {
-						// Execute the next move engine-side, no handoff.
-						port, err := w.nextPort(g, st.node)
+					// CurCard into the run's minimum before the wake test.
+					ru.minCard = min(ru.minCard, card)
+				}
+				// Sleep on while no condition fires and the current
+				// segment, or the next one, goes on.
+				if !st.wake.wakes(r, card) && (w.i < w.n || (w.n == 0 && r < ru.end) || st.advance(g, r, card)) {
+					if w.n > 0 {
+						mv, err := st.walkMove(g, r)
 						if err != nil {
-							return nil, fmt.Errorf("sim: agent label %d %v in round %d",
-								st.spec.Label, err, r)
+							return nil, processed, err
 						}
-						moves = append(moves, pending{st: st, port: port})
-						continue
+						moves = append(moves, mv)
 					}
-					// Walk complete, or a condition fired mid-walk: wake the
-					// agent with the walk minimum attached.
-					walkMin = w.minCard
-					w.n = 0
-				} else if !st.wake.wakes(r, card) {
 					continue
 				}
+				// The run is over, or a condition fired: wake the agent
+				// with the run's minimum attached.
+				walkMin = ru.minCard
+				w.n = 0
 				st.sleeping = false
 			}
 			st.api.obs = observation{
@@ -373,7 +485,7 @@ func Run(sc Scenario) (*RunResult, error) {
 			}
 			in, ok := st.next()
 			if st.err != nil {
-				return nil, fmt.Errorf("sim: agent %d (label %d) failed in round %d: %w",
+				return nil, processed, fmt.Errorf("sim: agent %d (label %d) failed in round %d: %w",
 					i, st.spec.Label, r, st.err)
 			}
 			if !ok {
@@ -384,62 +496,61 @@ func Run(sc Scenario) (*RunResult, error) {
 				continue
 			}
 			st.sleeping = true
-			switch {
-			case in.port >= 0:
+			ru := &st.run
+			if in.port >= 0 {
 				if !g.HasPort(st.node, in.port) {
-					return nil, fmt.Errorf("sim: agent label %d took nonexistent port %d at a degree-%d node in round %d",
+					return nil, processed, fmt.Errorf("sim: agent label %d took nonexistent port %d at a degree-%d node in round %d",
 						st.spec.Label, in.port, g.Degree(st.node), r)
 				}
-				moves = append(moves, pending{st: st, port: in.port})
-				st.wake = compileWake(r+1, nil, st.wokeAt)
-			case in.walk != nil:
-				w := &st.walk
-				w.begin(*in.walk)
-				port, err := w.nextPort(g, st.node)
+				to, entry := g.Traverse(st.node, in.port)
+				moves = append(moves, move{st, to, entry})
+				st.wake = compileWake(nil, st.wokeAt)
+				ru.rest, ru.end = nil, r+1
+				continue
+			}
+			st.wake = compileWake(in.conds, st.wokeAt)
+			ru.rest, ru.minCard, ru.startMin = in.segs, maxInt, in.startMin
+			st.advance(g, r, card) // the API submits only runs with a nonempty segment
+			if ru.walk.n > 0 {
+				mv, err := st.walkMove(g, r)
 				if err != nil {
-					return nil, fmt.Errorf("sim: agent label %d %v in round %d",
-						st.spec.Label, err, r)
+					return nil, processed, err
 				}
-				moves = append(moves, pending{st: st, port: port})
-				// Woken by walk completion or a condition.
-				st.wake = compileWake(never, in.conds, st.wokeAt)
-			default:
-				expiry := never
-				if in.rounds >= 0 {
-					expiry = r + max(in.rounds, 1)
-				}
-				st.wake = compileWake(expiry, in.conds, st.wokeAt)
+				moves = append(moves, mv)
 			}
 		}
 		// Apply all moves simultaneously.
 		totalMoves += len(moves)
 		for _, mv := range moves {
 			st := mv.st
-			to, entry := g.Traverse(st.node, mv.port)
 			cardAt[st.node]--
-			cardAt[to]++
-			st.node = to
-			st.entryPort = entry
-			if st.walk.n > 0 {
-				st.walk.moved(entry)
-			}
+			cardAt[mv.to]++
+			st.node = mv.to
+			st.entryPort = mv.entry
 		}
 		if live == 0 {
 			break
 		}
-		if sc.OnRound != nil || len(moves) > 0 {
-			// Per-round stepping: the hook observes every round, and a move
-			// changes positions, so the next round must be processed (cards
-			// and visit-wakes may shift, and walkers move every round).
-			r++
-			continue
+		r++
+		switch {
+		case sc.OnRound != nil:
+			// Per-round stepping: the hook observes every round.
+		case len(moves) > 0:
+			// A move changes positions, so cards and visit wakes may shift
+			// and walkers move on: round r is processed, unless it starts
+			// a stretch of quiet rounds.
+			var rounds, moved int
+			r, rounds, moved = quiet.apply(states, cardAt, r, maxRounds+1)
+			steppedRounds += rounds
+			totalMoves += moved
+		default:
+			r = nextEventRound(states, r-1, cardAt, maxRounds)
 		}
-		r = nextEventRound(states, r, cardAt, maxRounds)
 	}
 
 	totalSimulated.Add(int64(lastHalt))
 	totalStepped.Add(int64(steppedRounds))
-	res := &RunResult{Rounds: lastHalt, Agents: make([]AgentResult, n), SteppedRounds: steppedRounds, Moves: totalMoves}
+	res = &RunResult{Rounds: lastHalt, Agents: make([]AgentResult, n), SteppedRounds: steppedRounds, Moves: totalMoves}
 	for i := range states {
 		st := &states[i]
 		res.Agents[i] = AgentResult{
@@ -451,12 +562,90 @@ func Run(sc Scenario) (*RunResult, error) {
 			Report:     st.report,
 		}
 	}
-	return res, nil
+	return res, processed, nil
+}
+
+// quietBuf holds the per-run buffers of quiet-round detection.
+type quietBuf struct {
+	cards   []int         // per agent, its CurCard when the stretch began
+	walkers []*agentState // the agents walking through the stretch
+}
+
+// apply applies the quiet rounds from round r on, after a round with moves,
+// and returns the first round the loop must process, with the number of
+// rounds applied and their moves. A round is quiet when walk moves are its
+// only event:
+//
+//   - no agent not yet awake reaches its wake round or shares its node;
+//   - every awake agent sleeps on a wait or an offsets walk whose wake test
+//     fails, and whose segment goes on;
+//   - every agent's CurCard after the round's moves equals its CurCard when
+//     the stretch began.
+//
+// The loop would process such a round by folding each walker's CurCard
+// into its minimum and applying the walkers' moves, and nothing else; and
+// since no CurCard changes, the next round is quiet too, up to the first
+// round that ends a walk or a wait, reaches a condition's deadline or an
+// adversarial wake round, or passes limit (maxRounds+1, where the loop
+// fails with ErrMaxRounds). Walks of literal ports are not applied in
+// bulk: each of their moves checks its port.
+func (q *quietBuf) apply(states []agentState, cardAt []int, r, limit int) (next, rounds, moved int) {
+	end := limit
+	q.walkers = q.walkers[:0]
+	for i := range states {
+		st := &states[i]
+		card := cardAt[st.node]
+		q.cards[i] = card
+		switch {
+		case st.halted:
+		case !st.awake:
+			if card > 1 {
+				return r, 0, 0
+			}
+			if st.spec.WakeRound >= r {
+				end = min(end, st.spec.WakeRound)
+			}
+		case st.wake.wakes(r, card):
+			return r, 0, 0
+		case st.run.walk.n > 0:
+			if st.run.walk.ports != nil {
+				return r, 0, 0
+			}
+			end = min(end, st.wake.deadline, r+st.onRoute())
+			q.walkers = append(q.walkers, st)
+		default:
+			end = min(end, st.wake.deadline, st.run.end)
+		}
+	}
+	if end <= r || len(q.walkers) == 0 {
+		return r, 0, 0
+	}
+	// CurCard is constant across the stretch: fold it into each walker's
+	// minimum once.
+	for _, st := range q.walkers {
+		st.run.minCard = min(st.run.minCard, cardAt[st.node])
+	}
+	for next = r; next < end; {
+		for _, st := range q.walkers {
+			to, entry := st.run.walk.next(&st.route)
+			cardAt[st.node]--
+			cardAt[to]++
+			st.node = to
+			st.entryPort = entry
+		}
+		next++
+		for i := range states {
+			if cardAt[states[i].node] != q.cards[i] {
+				return next, next - r, (next - r) * len(q.walkers)
+			}
+		}
+	}
+	return next, next - r, (next - r) * len(q.walkers)
 }
 
 // nextEventRound returns the next global round at which anything observable
-// can happen after round r: a bulk wait expires, an armed condition could
-// fire, or the adversary wakes an agent. Every round strictly between can be
+// can happen after round r: a wait expires, an armed condition could fire,
+// or the adversary wakes an agent. Every round strictly between can be
 // skipped: no agent moved in round r (a mover's next observation is due at
 // r+1, which caps the result), so positions — and with them every CurCard
 // and visit-triggered wake — are frozen. When nothing can happen, the result
@@ -475,16 +664,16 @@ func nextEventRound(states []agentState, r int, cardAt []int, maxRounds int) int
 			if st.spec.WakeRound > r {
 				next = min(next, st.spec.WakeRound)
 			}
-		case st.walk.n > 0 || st.wake.wakes(r+1, cardAt[st.node]):
+		case st.run.walk.n > 0 || st.wake.wakes(r+1, cardAt[st.node]):
 			// Every awake non-halted agent is sleeping here: each
 			// interaction ends with a halt or a new pending instruction. A
 			// walker moved this round, so this branch only catches a wake
 			// test that already passes at the frozen CurCard.
 			next = min(next, r+1)
 		default:
-			// The card lies in the window, so only the deadline (after r+1,
-			// or never) can end the wait.
-			next = min(next, st.wake.deadline)
+			// The card lies in the window, so only the wait's end or a
+			// condition's deadline (after r+1, or never) can wake it.
+			next = min(next, st.wake.deadline, st.run.end)
 		}
 	}
 	return next

@@ -29,29 +29,32 @@ func NewNaive(lambda int, seq *ues.Sequence) *NaiveSchedule {
 	return &NaiveSchedule{pattern: bits.Code(bits.Bin(lambda)), seq: seq}
 }
 
-// Run executes the naive schedule for exactly rounds rounds, cycling.
+// Run executes the naive schedule for exactly rounds rounds, cycling, as
+// one segment run (see Segments).
 func (s *NaiveSchedule) Run(a *sim.API, rounds int) {
+	a.RunSegments(s.Segments(nil, rounds))
+}
+
+// Segments appends the naive schedule's windows for exactly rounds rounds
+// to dst, block by block like Schedule.Segments: a 0-bit block is one wait
+// segment the engine can fast-forward, a 1-bit block an explore segment.
+func (s *NaiveSchedule) Segments(dst []sim.Segment, rounds int) []sim.Segment {
 	e := s.seq.EffectiveLen()
 	if e == 0 || len(s.pattern) == 0 {
-		a.WaitRounds(rounds)
-		return
+		return append(dst, sim.WaitSegment(rounds))
 	}
-	// Block-wise, like Schedule.Run: a 0-bit block is one bulk wait the
-	// engine can fast-forward; a 1-bit block is a per-round explore walk.
 	block := 2 * e
 	for t := 0; t < rounds; {
 		bit := s.pattern[(t/block)%len(s.pattern)]
-		n := block - t%block
-		if n > rounds-t {
-			n = rounds - t
-		}
+		n := min(block-t%block, rounds-t)
 		if bit == '0' {
-			a.WaitRounds(n)
+			dst = append(dst, sim.WaitSegment(n))
 		} else {
-			s.seq.ExploPartial(a, n)
+			dst = append(dst, s.seq.ExploPartialSegment(n))
 		}
 		t += n
 	}
+	return dst
 }
 
 // NaiveMeetBound mirrors MeetBound for the naive block length.

@@ -51,21 +51,26 @@ func (s *Schedule) BlockLen() int { return 4 * s.seq.EffectiveLen() }
 func (s *Schedule) PassLen() int { return s.BlockLen() * len(s.pattern) }
 
 // Run executes the schedule for exactly the given number of rounds, cycling
-// over the pattern as needed. The agent may end anywhere in the graph; the
-// paper's Algorithm 3 follows a TZ run with a full EXPLO, which works from
-// any node. Interruption (via sim.API.RunUntil wrapping the caller) may
-// abandon the walk mid-flight, which is the intended semantics.
+// over the pattern as needed, as one segment run (see Segments). The agent
+// may end anywhere in the graph; the paper's Algorithm 3 follows a TZ run
+// with a full EXPLO, which works from any node. Interruption (via
+// sim.API.RunUntil wrapping the caller) may abandon the walk mid-flight,
+// which is the intended semantics.
 func (s *Schedule) Run(a *sim.API, rounds int) {
+	a.RunSegments(s.Segments(nil, rounds))
+}
+
+// Segments appends the schedule's windows for exactly the given number of
+// rounds to dst and returns the extended slice. The schedule is cut
+// half-block by half-block: each 2E-round waiting window is one wait
+// segment, so the engine sees the idle stretch and can fast-forward it, and
+// each explore window is one EXPLO segment. Truncation by rounds cuts the
+// final window short, matching the per-round semantics.
+func (s *Schedule) Segments(dst []sim.Segment, rounds int) []sim.Segment {
 	e := s.seq.EffectiveLen()
 	if e == 0 || len(s.pattern) == 0 {
-		a.WaitRounds(rounds)
-		return
+		return append(dst, sim.WaitSegment(rounds))
 	}
-	// The schedule is processed half-block by half-block: each 2E-round
-	// waiting window is ONE bulk wait instruction, so the engine sees the
-	// idle stretch and can fast-forward it; the complementary explore window
-	// is per-round by nature (one move per round). Truncation by `rounds`
-	// can cut the final window short, matching the per-round semantics.
 	block := 4 * e
 	for t := 0; t < rounds; {
 		bit := s.pattern[(t/block)%len(s.pattern)]
@@ -74,20 +79,18 @@ func (s *Schedule) Run(a *sim.API, rounds int) {
 		if phase >= 2*e {
 			segEnd = block
 		}
-		n := segEnd - phase
-		if n > rounds-t {
-			n = rounds - t
-		}
+		n := min(segEnd-phase, rounds-t)
 		// bit 1 explores in the first half-block and waits in the second;
 		// bit 0 is the complement. Windows are always entered at their
 		// start: t advances in whole (possibly truncated) windows from 0.
 		if exploring := (bit == '1') == (phase < 2*e); !exploring {
-			a.WaitRounds(n)
+			dst = append(dst, sim.WaitSegment(n))
 		} else {
-			s.seq.ExploPartial(a, n)
+			dst = append(dst, s.seq.ExploPartialSegment(n))
 		}
 		t += n
 	}
+	return dst
 }
 
 // MeetBound returns P(N, k): an upper bound on the number of rounds, counted

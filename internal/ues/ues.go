@@ -126,7 +126,7 @@ func (s *Sequence) CoversFromEveryStart(g *graph.Graph) bool {
 // Duration() rounds, and leaves the agent where it started. The whole
 // execution is ONE engine-side walk (sim.API.WalkOffsets with a full
 // retrace): the engine computes every port and retraces the effective half
-// from its own record of entry ports, so an EXPLO costs one agent handoff
+// along the walk's own trajectory, so an EXPLO costs one agent handoff
 // instead of 2·E.
 func (s *Sequence) Explo(a *sim.API) {
 	a.WalkOffsets(s.offsets, len(s.offsets))
@@ -140,11 +140,19 @@ func (s *Sequence) ExploMinCard(a *sim.API) int {
 	return min(start, a.WalkOffsets(s.offsets, len(s.offsets)))
 }
 
-// ExploPartial runs only the first n rounds of an EXPLO (n <= Duration()):
-// the truncated prefix of the effective half followed by the truncated
-// prefix of the backtrack. Rendezvous schedules use it for explore windows
-// cut short by their round budget.
-func (s *Sequence) ExploPartial(a *sim.API, n int) {
+// ExploSegment is a full EXPLO as one segment of a run
+// (sim.API.RunSegments), whose minimum then covers the EXPLO as
+// ExploMinCard's does.
+func (s *Sequence) ExploSegment() sim.Segment {
+	return sim.WalkSegment(s.offsets, len(s.offsets))
+}
+
+// ExploPartialSegment is only the first n rounds of an EXPLO (n <=
+// Duration()) as one segment of a run: the truncated prefix of the
+// effective half followed by the truncated prefix of the backtrack.
+// Rendezvous schedules use it for explore windows cut short by their round
+// budget.
+func (s *Sequence) ExploPartialSegment(n int) sim.Segment {
 	e := len(s.offsets)
-	a.WalkOffsets(s.offsets[:min(n, e)], max(0, n-e))
+	return sim.WalkSegment(s.offsets[:min(n, e)], max(0, n-e))
 }

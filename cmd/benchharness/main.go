@@ -9,8 +9,8 @@
 // By default it runs the quick scale; -full runs the sizes recorded in
 // EXPERIMENTS.md (minutes, not seconds). -json additionally writes a
 // machine-readable perf record — per experiment: wall time, table rows,
-// logical rounds simulated and engine rounds actually stepped (the gap is
-// the event-driven clock's fast-forward win) — to the given file, for
+// logical rounds simulated and active rounds stepped (the gap is the
+// event-driven clock's fast-forward win) — to the given file, for
 // tracking the performance trajectory across PRs. The record also carries
 // service-throughput numbers: distinct specs POSTed to an in-process
 // gatherd cold (cache misses) and hot (cache hits), with requests/sec for

@@ -72,8 +72,8 @@ type Cell struct {
 	// Rounds is the distribution of RunResult.Rounds: the global round of
 	// the last halt — the paper's gathering-time measure.
 	Rounds Dist `json:"rounds"`
-	// Stepped is the distribution of RunResult.SteppedRounds: rounds the
-	// event-driven engine actually processed (the rest were fast-forwarded).
+	// Stepped is the distribution of RunResult.SteppedRounds: the run's
+	// active rounds (the rest were fast-forwarded).
 	Stepped Dist `json:"stepped_rounds"`
 	// Moves is the distribution of RunResult.Moves: total edge traversals.
 	Moves Dist `json:"moves"`

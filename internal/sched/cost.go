@@ -10,9 +10,9 @@ import "nochatter/internal/spec"
 type CostModel func(sp spec.ScenarioSpec) int64
 
 // Cost-model calibration. The engine reports, for every run, both the
-// logical rounds simulated and the rounds it actually stepped (the rest
-// are fast-forwarded; DESIGN.md §2), and per-spec wall time tracks stepped
-// rounds closely (~0.15-0.75µs per stepped round at k=2). Fitting stepped
+// logical rounds simulated and its active rounds, the stepped rounds (the
+// rest are fast-forwarded; DESIGN.md §2), and per-spec wall time tracks
+// stepped rounds closely (~0.15-0.75µs per stepped round at k=2). Fitting stepped
 // rounds against the spec axes over families × n ∈ [6, 64] gives:
 //
 //	family                      stepped rounds ≈

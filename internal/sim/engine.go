@@ -71,9 +71,14 @@ type RunResult struct {
 	Rounds int           `json:"rounds"` // rounds elapsed until the last agent halted
 	Agents []AgentResult `json:"agents"`
 
-	// SteppedRounds counts the rounds the engine actually processed; the
-	// difference to Rounds is what the event-driven clock fast-forwarded
-	// over. It is diagnostic only and carries no model semantics.
+	// SteppedRounds counts the run's active rounds: those in which some
+	// agent moves, wakes, or is resumed — a segment run crossing to its
+	// next segment counts as a resume. The difference to Rounds is what the
+	// event-driven clock jumped over; the engine may also fast-forward
+	// through active rounds in which walkers only move (see Run), so this
+	// is not the number of rounds it processed one by one. With an OnRound
+	// hook every round counts. It is diagnostic only and carries no model
+	// semantics.
 	SteppedRounds int `json:"stepped_rounds"`
 
 	// Moves counts edge traversals over the whole run, summed across agents
@@ -131,8 +136,10 @@ var (
 )
 
 // SimulatedRounds returns the process-wide totals of logical rounds simulated
-// and engine rounds actually stepped, accumulated over every completed Run.
-// The ratio is the measured win of the event-driven clock.
+// and active rounds stepped (RunResult.SteppedRounds), accumulated over
+// every completed Run. The ratio is the measured win of the event-driven
+// clock's jumps; quiet rounds the engine fast-forwards through count as
+// stepped.
 func SimulatedRounds() (logical, stepped int64) {
 	return totalSimulated.Load(), totalStepped.Load()
 }
@@ -348,11 +355,11 @@ func (st *agentState) advance(g *graph.Graph, r, card int) bool {
 // no engine-evaluable condition, wait expiry or scheduled wake-up can fire
 // before round R, the global clock jumps straight to R: positions, and
 // hence every CurCard, are frozen. After a round with moves, the engine
-// applies the quiet rounds that follow in bulk (see quietRounds): rounds in
-// which walkers move along their routes, no CurCard changes and nothing
-// else happens. Neither shortcut is observable to agents. The engine falls
-// back to per-round stepping whenever Scenario.OnRound is set: the hook
-// must see every round.
+// applies the quiet rounds that follow in bulk (see quietBuf.apply):
+// rounds in which walkers move along their routes, no CurCard changes and
+// nothing else happens. Neither shortcut is observable to agents. The
+// engine falls back to per-round stepping whenever Scenario.OnRound is
+// set: the hook must see every round.
 //
 // The round loop keeps its state incrementally: node occupancy changes only
 // with applied moves, and each instruction's wake test is compiled once,
@@ -398,7 +405,7 @@ func run(sc Scenario) (res *RunResult, processed int, err error) {
 	}
 
 	moves := make([]move, 0, n)
-	quiet := quietBuf{cards: make([]int, n), walkers: make([]*agentState, 0, n)}
+	var quiet quietBuf
 
 	asleep := n // agents not yet woken
 	live := n   // agents not yet halted
@@ -565,7 +572,8 @@ func run(sc Scenario) (res *RunResult, processed int, err error) {
 	return res, processed, nil
 }
 
-// quietBuf holds the per-run buffers of quiet-round detection.
+// quietBuf holds the per-run buffers of quiet-round detection, allocated
+// when a run first has walkers.
 type quietBuf struct {
 	cards   []int         // per agent, its CurCard when the stretch began
 	walkers []*agentState // the agents walking through the stretch
@@ -595,7 +603,6 @@ func (q *quietBuf) apply(states []agentState, cardAt []int, r, limit int) (next,
 	for i := range states {
 		st := &states[i]
 		card := cardAt[st.node]
-		q.cards[i] = card
 		switch {
 		case st.halted:
 		case !st.awake:
@@ -612,6 +619,9 @@ func (q *quietBuf) apply(states []agentState, cardAt []int, r, limit int) (next,
 				return r, 0, 0
 			}
 			end = min(end, st.wake.deadline, r+st.onRoute())
+			if q.walkers == nil {
+				q.walkers = make([]*agentState, 0, len(states))
+			}
 			q.walkers = append(q.walkers, st)
 		default:
 			end = min(end, st.wake.deadline, st.run.end)
@@ -619,6 +629,12 @@ func (q *quietBuf) apply(states []agentState, cardAt []int, r, limit int) (next,
 	}
 	if end <= r || len(q.walkers) == 0 {
 		return r, 0, 0
+	}
+	if q.cards == nil {
+		q.cards = make([]int, len(states))
+	}
+	for i := range states {
+		q.cards[i] = cardAt[states[i].node]
 	}
 	// CurCard is constant across the stretch: fold it into each walker's
 	// minimum once.

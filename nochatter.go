@@ -49,17 +49,24 @@
 // # The event-driven agent↔engine contract
 //
 // Agent programs talk to the engine through an instruction contract the
-// engine can reason about: API.WaitRounds and API.WaitUntil submit a single
-// bulk wait (not one handoff per round), API.WalkOffsets and API.WalkPorts
-// submit whole multi-round walks the engine executes itself — a whole
-// EXPLO, out and back, is the single instruction WalkOffsets(xs, len(xs)),
-// retraced from the engine's own record of entry ports — and
-// interruption conditions are declarative Condition values (CardAtLeast,
-// CardChanged, LocalRoundReached, Any) evaluated engine-side via
-// API.RunUntil. Whenever every awake agent is mid-wait and no condition can
-// fire, the engine fast-forwards the global clock to the next event — the
-// paper's astronomically long waiting phases cost almost nothing to
-// simulate. RunResult.SteppedRounds reports the rounds actually processed.
+// engine can reason about. API.TakePort is a one-round move; every other
+// call that spends rounds submits ONE segment run — waits and walks the
+// engine executes in order without resuming the program, crossing from
+// each segment to the next itself. API.WaitRounds and API.WaitUntil
+// submit a one-segment wait (not one handoff per round), API.WalkOffsets
+// and API.WalkPorts a one-segment walk — a whole EXPLO, out and back, is
+// the single instruction WalkOffsets(xs, len(xs)) — and API.RunSegments a
+// whole list of WaitSegment and WalkSegment values: a fixed schedule such
+// as TZ(λ) or a Communicate step is one submission. Interruption
+// conditions are declarative Condition values (CardAtLeast, CardChanged,
+// LocalRoundReached, Any) evaluated engine-side via API.RunUntil, inside a
+// run as between runs. Whenever every awake agent is mid-wait and no
+// condition can fire, the engine fast-forwards the global clock to the
+// next event — the paper's astronomically long waiting phases cost almost
+// nothing to simulate — and it applies stretches of quiet rounds, in which
+// walkers only move along their memoized routes and no CurCard changes, in
+// bulk. RunResult.SteppedRounds reports the active rounds, fast-forwarded
+// quiet rounds included (DESIGN.md §2).
 //
 // Migration note: API.RunInterruptible(pred, block), the closure form that
 // pinned its agent to per-round stepping, is gone; RunUntil with a
@@ -74,6 +81,13 @@
 // CurCard observed. The old three-line EXPLO — entries, _ :=
 // a.WalkOffsets(xs); slices.Reverse(entries); a.WalkPorts(entries) —
 // becomes a.WalkOffsets(xs, len(xs)).
+//
+// A loop that submits a fixed schedule window by window — TZ(λ) waits and
+// explore windows, or wait, EXPLO, wait — becomes one RunSegments call over
+// a list built in a buffer the program reuses. The TZ(λ) window loop of
+// internal/tz is now a.RunSegments(s.Segments(buf[:0], rounds)), and a
+// Communicate step's min(start card, WalkOffsets minimum) is the run's
+// returned minimum, which includes each walk's start card.
 //
 // # Batch runs
 //
@@ -188,6 +202,9 @@ type (
 	// evaluates itself (see CardAtLeast, CardChanged, LocalRoundReached,
 	// Any, API.WaitUntil and API.RunUntil).
 	Condition = sim.Condition
+	// Segment is one wait or walk of a segment run (see WaitSegment,
+	// WalkSegment and API.RunSegments).
+	Segment = sim.Segment
 	// Runner executes scenarios with shared defaults and a worker pool.
 	Runner = sim.Runner
 	// RunnerOption configures a Runner (WithMaxRounds, WithOnRound,
@@ -462,6 +479,10 @@ var (
 	LocalRoundReached = sim.LocalRoundReached
 	// Any fires when any sub-condition fires.
 	Any = sim.Any
+	// WaitSegment is a segment run's wait of n rounds.
+	WaitSegment = sim.WaitSegment
+	// WalkSegment is a segment run's walk under API.WalkOffsets' rules.
+	WalkSegment = sim.WalkSegment
 	// NewRunner builds a scenario runner with shared defaults.
 	NewRunner = sim.NewRunner
 	// RunBatch executes independent scenarios on a worker pool, results in

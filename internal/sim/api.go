@@ -29,7 +29,7 @@ type observation struct {
 	entryPort  int // port through which the agent last entered; -1 before any move
 	curCard    int // number of agents (incl. self) at the current node
 
-	walkMin int // set only when the observation ends a segment run: its minimum CurCard (maxInt: none)
+	runMin int // set only when the observation ends a segment run: its minimum CurCard (maxInt: none)
 }
 
 // instruction is what an agent submits to the engine for its next rounds:
@@ -253,26 +253,26 @@ func (a *API) WalkPorts(ports []int) (minCard int) {
 func (a *API) RunSegments(segs []Segment) (minCard int) {
 	for i := range segs {
 		if !segs[i].empty() {
-			return a.run(segs, true)
+			return a.runSegs(segs, true)
 		}
 	}
 	return a.obs.curCard
 }
 
-// runOne submits the one-segment run seg (see run).
+// runOne submits the one-segment run seg (see runSegs).
 func (a *API) runOne(seg Segment, startMin bool, extra ...armedCond) (minCard int) {
 	a.segBuf[0] = seg
-	return a.run(a.segBuf[:], startMin, extra...)
+	return a.runSegs(a.segBuf[:], startMin, extra...)
 }
 
-// run submits segs, which hold a nonempty segment, as one instruction with
-// every active RunUntil condition plus extra attached, then re-checks the
-// frames on wake so a fired condition unwinds the run mid-flight, exactly
-// as under per-round stepping. It returns the run's minimum CurCard (see
-// RunSegments; walk start cards only when startMin is set).
-func (a *API) run(segs []Segment, startMin bool, extra ...armedCond) (minCard int) {
+// runSegs submits segs, which hold a nonempty segment, as one instruction
+// with every active RunUntil condition plus extra attached, then re-checks
+// the frames on wake so a fired condition unwinds the run mid-flight,
+// exactly as under per-round stepping. It returns the run's minimum CurCard
+// (see RunSegments; walk start cards only when startMin is set).
+func (a *API) runSegs(segs []Segment, startMin bool, extra ...armedCond) (minCard int) {
 	a.submit(instruction{port: -1, segs: segs, conds: a.armed(extra), startMin: startMin})
-	minCard = a.obs.walkMin
+	minCard = a.obs.runMin
 	if minCard == maxInt {
 		minCard = a.obs.curCard
 	}

@@ -452,7 +452,7 @@ func run(sc Scenario) (res *RunResult, processed int, err error) {
 				continue
 			}
 			card := cardAt[st.node]
-			walkMin := 0
+			runMin := 0
 			if st.sleeping {
 				ru := &st.run
 				w := &ru.walk
@@ -475,7 +475,7 @@ func run(sc Scenario) (res *RunResult, processed int, err error) {
 				}
 				// The run is over, or a condition fired: wake the agent
 				// with the run's minimum attached.
-				walkMin = ru.minCard
+				runMin = ru.minCard
 				w.n = 0
 				st.sleeping = false
 			}
@@ -484,7 +484,7 @@ func run(sc Scenario) (res *RunResult, processed int, err error) {
 				degree:     g.Degree(st.node),
 				entryPort:  st.entryPort,
 				curCard:    card,
-				walkMin:    walkMin,
+				runMin:     runMin,
 			}
 			if st.next == nil {
 				stop := st.start()

@@ -4,10 +4,11 @@
 //
 // The whole design leans on one property PR 2 established: a
 // spec.ScenarioSpec is pure data and its run is a deterministic function of
-// that data. Hash the spec canonically (this file) and identical
-// submissions — whatever their field order, number spelling or name — map
-// to the same key, so repeat traffic is an O(1) cache lookup and N
-// concurrent identical submissions collapse into one run (cache.go,
+// that data. Hash the spec canonically (this file, over the one-pass
+// encoder spec.ScenarioSpec.AppendCanonical) and identical submissions —
+// whatever their field order, number spelling or name — map to the same
+// key, so repeat traffic is an O(1) cache lookup and N concurrent
+// identical submissions collapse into one run (cache.go,
 // service.go). Sweeps ride the same path: a job (queue.go) is just an
 // ordered list of specs, each served through the cache.
 //
@@ -20,13 +21,9 @@
 package service
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"sort"
-	"strconv"
 
 	"nochatter/internal/spec"
 )
@@ -43,30 +40,19 @@ import (
 //     shortest round-trip form), so a Go-built spec with int params and the
 //     same spec re-parsed from JSON (json.Number) hash identically;
 //   - no insignificant whitespace.
+//
+// The encoder is spec.ScenarioSpec.AppendCanonical, which writes the
+// struct's fields in one pass.
 func CanonicalSpec(sp spec.ScenarioSpec) ([]byte, error) {
-	sp.Name = ""
-	raw, err := json.Marshal(sp)
-	if err != nil {
-		return nil, fmt.Errorf("service: canonicalize: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return nil, fmt.Errorf("service: canonicalize: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := writeCanonical(&buf, v); err != nil {
-		return nil, fmt.Errorf("service: canonicalize: %w", err)
-	}
-	return buf.Bytes(), nil
+	return appendCanonical(nil, sp)
 }
 
 // SpecKey returns the content address of a spec: the hex SHA-256 of its
 // canonical JSON encoding. Equal keys mean equal runs (given a stable
 // algorithm and graph-family registry — see DESIGN.md §8).
 func SpecKey(sp spec.ScenarioSpec) (string, error) {
-	canon, err := CanonicalSpec(sp)
+	var buf [512]byte
+	canon, err := appendCanonical(buf[:0], sp)
 	if err != nil {
 		return "", err
 	}
@@ -74,84 +60,12 @@ func SpecKey(sp spec.ScenarioSpec) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// writeCanonical renders a decoded JSON value deterministically.
-func writeCanonical(buf *bytes.Buffer, v any) error {
-	switch x := v.(type) {
-	case nil:
-		buf.WriteString("null")
-	case bool:
-		if x {
-			buf.WriteString("true")
-		} else {
-			buf.WriteString("false")
-		}
-	case string:
-		enc, err := json.Marshal(x)
-		if err != nil {
-			return err
-		}
-		buf.Write(enc)
-	case json.Number:
-		buf.WriteString(normalizeNumber(x))
-	case []any:
-		buf.WriteByte('[')
-		for i, e := range x {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			if err := writeCanonical(buf, e); err != nil {
-				return err
-			}
-		}
-		buf.WriteByte(']')
-	case map[string]any:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		buf.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			enc, err := json.Marshal(k)
-			if err != nil {
-				return err
-			}
-			buf.Write(enc)
-			buf.WriteByte(':')
-			if err := writeCanonical(buf, x[k]); err != nil {
-				return err
-			}
-		}
-		buf.WriteByte('}')
-	default:
-		return fmt.Errorf("unexpected JSON value of type %T", v)
-	}
-	return nil
-}
-
-// normalizeNumber maps every JSON spelling of the same number to one form:
-// int64-range integers (including "1.0", "1e2") print as plain decimals,
-// uint64-range integers keep full precision, everything else prints in
-// strconv's shortest float64 round-trip form.
-func normalizeNumber(n json.Number) string {
-	s := n.String()
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return strconv.FormatInt(i, 10)
-	}
-	if u, err := strconv.ParseUint(s, 10, 64); err == nil {
-		return strconv.FormatUint(u, 10)
-	}
-	f, err := strconv.ParseFloat(s, 64)
+// appendCanonical appends sp's canonical encoding to dst, wrapping the
+// encoder's error as every key function reports it.
+func appendCanonical(dst []byte, sp spec.ScenarioSpec) ([]byte, error) {
+	dst, err := sp.AppendCanonical(dst)
 	if err != nil {
-		// json.Number from the decoder is always a valid literal; keep the
-		// raw form as a last resort rather than failing the hash.
-		return s
+		return nil, fmt.Errorf("service: canonicalize: %w", err)
 	}
-	if f == float64(int64(f)) && f >= -1e15 && f <= 1e15 {
-		return strconv.FormatInt(int64(f), 10)
-	}
-	return strconv.FormatFloat(f, 'g', -1, 64)
+	return dst, nil
 }

@@ -1,6 +1,12 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -122,5 +128,218 @@ func TestCanonicalSpecShape(t *testing.T) {
 	want := `{"agents":[{"algorithm":{"name":"known"},"label":1,"start":0}],"graph":{"family":"ring","n":3}}`
 	if got != want {
 		t.Errorf("canonical encoding drifted:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// referenceCanonicalSpec is the canonical encoding by its definition: the
+// whole spec (Name cleared) marshaled by encoding/json, decoded with
+// UseNumber and re-encoded with sorted keys and normalized numbers. The
+// one-pass encoder must reproduce it byte for byte, and fail on exactly
+// the inputs it fails on.
+func referenceCanonicalSpec(sp spec.ScenarioSpec) ([]byte, error) {
+	sp.Name = ""
+	raw, err := json.Marshal(sp)
+	if err != nil {
+		return nil, fmt.Errorf("service: canonicalize: %w", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		return nil, fmt.Errorf("service: canonicalize: %w", err)
+	}
+	var buf bytes.Buffer
+	if err := referenceWrite(&buf, v); err != nil {
+		return nil, fmt.Errorf("service: canonicalize: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// referenceWrite renders a decoded JSON value deterministically.
+func referenceWrite(buf *bytes.Buffer, v any) error {
+	switch x := v.(type) {
+	case nil:
+		buf.WriteString("null")
+	case bool:
+		if x {
+			buf.WriteString("true")
+		} else {
+			buf.WriteString("false")
+		}
+	case string:
+		enc, err := json.Marshal(x)
+		if err != nil {
+			return err
+		}
+		buf.Write(enc)
+	case json.Number:
+		buf.WriteString(referenceNumber(x))
+	case []any:
+		buf.WriteByte('[')
+		for i, e := range x {
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			if err := referenceWrite(buf, e); err != nil {
+				return err
+			}
+		}
+		buf.WriteByte(']')
+	case map[string]any:
+		keys := make([]string, 0, len(x))
+		for k := range x {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		buf.WriteByte('{')
+		for i, k := range keys {
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			enc, err := json.Marshal(k)
+			if err != nil {
+				return err
+			}
+			buf.Write(enc)
+			buf.WriteByte(':')
+			if err := referenceWrite(buf, x[k]); err != nil {
+				return err
+			}
+		}
+		buf.WriteByte('}')
+	default:
+		return fmt.Errorf("unexpected JSON value of type %T", v)
+	}
+	return nil
+}
+
+// referenceNumber maps every JSON spelling of the same number to one form.
+func referenceNumber(n json.Number) string {
+	s := n.String()
+	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return strconv.FormatInt(i, 10)
+	}
+	if u, err := strconv.ParseUint(s, 10, 64); err == nil {
+		return strconv.FormatUint(u, 10)
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return s
+	}
+	if f == float64(int64(f)) && f >= -1e15 && f <= 1e15 {
+		return strconv.FormatInt(int64(f), 10)
+	}
+	return strconv.FormatFloat(f, 'g', -1, 64)
+}
+
+// checkAgainstReference fails unless CanonicalSpec and the reference agree
+// on sp: the same bytes, or both an error.
+func checkAgainstReference(t *testing.T, name string, sp spec.ScenarioSpec) {
+	t.Helper()
+	got, err := CanonicalSpec(sp)
+	want, refErr := referenceCanonicalSpec(sp)
+	if (err != nil) != (refErr != nil) {
+		t.Fatalf("%s: CanonicalSpec error %v, reference error %v", name, err, refErr)
+	}
+	if err != nil {
+		if !strings.HasPrefix(err.Error(), "service: canonicalize: ") {
+			t.Errorf("%s: error %q lacks the service: canonicalize: prefix", name, err)
+		}
+		return
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: one-pass encoding differs from the reference round trip:\ngot  %s\nwant %s", name, got, want)
+	}
+}
+
+// TestCanonicalSpecMatchesReference runs every spec of the golden key
+// corpus through both encoders.
+func TestCanonicalSpecMatchesReference(t *testing.T) {
+	for _, c := range keyCorpus(t) {
+		checkAgainstReference(t, c.name, c.sp)
+	}
+}
+
+// TestCanonicalErrorsMatchReference pins the error text of inputs with a
+// single fault: the one-pass encoder reports what encoding/json reports.
+func TestCanonicalErrorsMatchReference(t *testing.T) {
+	for _, c := range keyCorpus(t) {
+		if !c.wantErr {
+			continue
+		}
+		_, err := CanonicalSpec(c.sp)
+		_, refErr := referenceCanonicalSpec(c.sp)
+		if err == nil || refErr == nil || err.Error() != refErr.Error() {
+			t.Errorf("%s: error %v, reference error %v", c.name, err, refErr)
+		}
+	}
+}
+
+// TestCanonicalCoversEveryField sets each exported field of ScenarioSpec,
+// GraphSpec, AgentSpec and AlgorithmSpec, one at a time, to a non-zero
+// value: the key must change (Name alone labels without changing the
+// run), and the one-pass encoding must equal the reference round trip. A
+// field added to the types but not to the encoder fails here instead of
+// silently dropping out of every key.
+func TestCanonicalCoversEveryField(t *testing.T) {
+	base := spec.ScenarioSpec{
+		Graph:  spec.GraphSpec{Family: "ring"},
+		Agents: []spec.AgentSpec{{Algorithm: spec.AlgorithmSpec{Name: "known"}}},
+	}
+	baseKey := key(t, base)
+	var fields []string
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			name := path + f.Name
+			fv := v.Field(i)
+			switch {
+			case f.Type.Kind() == reflect.Struct:
+				walk(name+".", fv)
+				continue
+			case f.Type.Kind() == reflect.Slice && f.Type.Elem().Kind() == reflect.Struct:
+				if fv.Len() == 0 {
+					t.Fatalf("%s: the base spec needs one element to reach its fields", name)
+				}
+				walk(name+"[0].", fv.Index(0))
+				continue
+			}
+			old := reflect.New(f.Type).Elem()
+			old.Set(fv)
+			setNonZero(t, name, fv)
+			fields = append(fields, name)
+			checkAgainstReference(t, name, base)
+			if changed := key(t, base) != baseKey; changed != (name != "Name") {
+				t.Errorf("%s: setting it changed the key: %v (every field but the spec's Name must)", name, changed)
+			}
+			fv.Set(old)
+		}
+	}
+	walk("", reflect.ValueOf(&base).Elem())
+	t.Logf("covered %d fields: %v", len(fields), fields)
+	if key(t, base) != baseKey {
+		t.Fatalf("the walk did not restore the base spec")
+	}
+}
+
+// setNonZero sets a field to a value different from its current one.
+func setNonZero(t *testing.T, name string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(v.String() + "-set")
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 7)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 0.25)
+	case reflect.Map:
+		m := reflect.MakeMap(v.Type())
+		m.SetMapIndex(reflect.ValueOf("k"), reflect.ValueOf(1))
+		v.Set(m)
+	default:
+		t.Fatalf("%s: no non-zero value for a %s field; extend setNonZero", name, v.Type())
 	}
 }

@@ -1,50 +1,29 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"testing"
 
 	"nochatter/internal/spec"
 )
 
-// FuzzCanonicalJSON checks that canonical encoding is a fixed point:
-// encoding a decoded JSON value, re-decoding the result and encoding again
-// must be byte-identical. The cache key material (CanonicalSpec, SpecKey)
-// and the merge-order-independence of agg summaries both rest on this.
-func FuzzCanonicalJSON(f *testing.F) {
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{"b":1,"a":2}`))
-	f.Add([]byte(`{"n":1.0,"m":1e2,"k":-0.5,"big":18446744073709551615}`))
-	f.Add([]byte(`[1,"two",true,null,{"x":[]}]`))
-	f.Add([]byte(`{"graph":{"family":"ring","n":8},"agents":[{"label":1,"start":0}]}`))
+// FuzzCanonicalSpec checks the one-pass encoder against its definition:
+// any bytes spec.Parse accepts must encode through CanonicalSpec to the
+// bytes of the whole-spec round trip, or fail alike. Seeded with the JSON
+// of the golden key corpus.
+func FuzzCanonicalSpec(f *testing.F) {
+	for _, c := range keyCorpus(f) {
+		if raw, err := json.Marshal(c.sp); err == nil {
+			f.Add(raw)
+		}
+	}
+	f.Add([]byte(`{"graph":{"family":"gnp","p":1e-7},"agents":[{"label":1,"algorithm":{"name":"x","params":{"a":[1.0,{"b":"<\u00ff>"}],"c":-0}}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.UseNumber()
-		var v any
-		if err := dec.Decode(&v); err != nil {
-			return // not JSON; nothing to canonicalize
+		sp, err := spec.Parse(data)
+		if err != nil {
+			return
 		}
-		var b1 bytes.Buffer
-		if err := writeCanonical(&b1, v); err != nil {
-			t.Fatalf("writeCanonical on decoded value: %v", err)
-		}
-		c1 := b1.String()
-
-		dec2 := json.NewDecoder(bytes.NewReader(b1.Bytes()))
-		dec2.UseNumber()
-		var v2 any
-		if err := dec2.Decode(&v2); err != nil {
-			t.Fatalf("canonical form %q is not valid JSON: %v", c1, err)
-		}
-		var b2 bytes.Buffer
-		if err := writeCanonical(&b2, v2); err != nil {
-			t.Fatalf("writeCanonical on re-decoded value: %v", err)
-		}
-		if c2 := b2.String(); c1 != c2 {
-			t.Fatalf("canonical encoding is not a fixed point:\n first: %s\nsecond: %s", c1, c2)
-		}
+		checkAgainstReference(t, "fuzzed spec", sp)
 	})
 }
 

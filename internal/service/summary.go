@@ -25,13 +25,14 @@ const summaryDomain = "nochatter-sweep-summary-v1"
 func SweepSummaryKey(specs []spec.ScenarioSpec) (string, error) {
 	h := sha256.New()
 	h.Write([]byte(summaryDomain))
+	var arr [512]byte
+	buf := arr[:0]
 	for _, sp := range specs {
-		canon, err := CanonicalSpec(sp)
-		if err != nil {
+		var err error
+		if buf, err = appendCanonical(append(buf[:0], '\n'), sp); err != nil {
 			return "", err
 		}
-		h.Write([]byte{'\n'})
-		h.Write(canon)
+		h.Write(buf)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

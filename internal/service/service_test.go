@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -117,4 +118,60 @@ func TestTerminalJobsEvicted(t *testing.T) {
 	if _, ok := svc.Job(ids[len(ids)-1]); !ok {
 		t.Errorf("newest job %s was evicted", ids[len(ids)-1])
 	}
+}
+
+// TestNumberSpellingsShareOutcome submits one randomized scenario with its
+// seed and horizon spelled as plain integers and as integral decimals or
+// exponents — spellings the canonical number rule gives one key — to one
+// service, in both orders. Because the cache stores outcomes under the
+// key, every spelling must get the outcome a fresh service gives the
+// plain one; an accessor that refused "5.0" would poison the valid spec's
+// cache entry with its error.
+func TestNumberSpellingsShareOutcome(t *testing.T) {
+	parse := func(seed, horizon string) spec.ScenarioSpec {
+		t.Helper()
+		algo := `{"name":"randomized","params":{"seed":` + seed + `,"horizon":` + horizon + `}}`
+		sp, err := spec.Parse([]byte(`{"graph":{"family":"ring","n":6},"agents":[
+			{"label":1,"start":0,"algorithm":` + algo + `},
+			{"label":2,"start":3,"algorithm":` + algo + `}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+	fresh := New(Config{})
+	defer fresh.Close()
+	wantKey, want, _, err := fresh.RunSpec(parse("5", "500"))
+	if err != nil {
+		t.Fatalf("plain spelling: %v", err)
+	}
+	for _, odd := range [][2]string{{"5.0", "500"}, {"5e0", "5e2"}, {"5", "500.00"}, {"50e-1", "5.0e2"}} {
+		for _, first := range []bool{true, false} {
+			spellings := [][2]string{odd, {"5", "500"}}
+			if !first {
+				spellings[0], spellings[1] = spellings[1], spellings[0]
+			}
+			svc := New(Config{})
+			defer svc.Close()
+			for _, sp := range spellings {
+				key, res, _, err := svc.RunSpec(parse(sp[0], sp[1]))
+				if err != nil {
+					t.Fatalf("seed %s horizon %s after %v: %v", sp[0], sp[1], spellings, err)
+				}
+				if got := resultJSON(t, res); key != wantKey || got != resultJSON(t, want) {
+					t.Errorf("seed %s horizon %s after %v: key %s, result %s; a fresh service: key %s, result %s",
+						sp[0], sp[1], spellings, key, got, wantKey, resultJSON(t, want))
+				}
+			}
+		}
+	}
+}
+
+func resultJSON(t *testing.T, r *sim.RunResult) string {
+	t.Helper()
+	buf, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(buf)
 }

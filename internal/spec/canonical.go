@@ -127,15 +127,11 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 	case string:
 		return appendString(dst, x)
 	case json.Number:
-		num := x.String()
-		if num == "" {
-			num = "0" // encoding/json writes the zero Number as 0
+		if out, ok := appendNumberLiteral(dst, x); ok {
+			return out, nil
 		}
-		if !validNumber(num) {
-			_, err := json.Marshal(x) // the error encoding/json reports
-			return nil, err
-		}
-		return normalizeNumber(dst, num), nil
+		_, err := json.Marshal(x) // the error encoding/json reports
+		return nil, err
 	case float64:
 		return appendFloat(dst, x, 64)
 	case float32:
@@ -310,6 +306,19 @@ func normalizeNumber(dst []byte, num string) []byte {
 		return strconv.AppendInt(dst, int64(f), 10)
 	}
 	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
+
+// appendNumberLiteral appends the canonical form of a json.Number, or
+// reports false for a literal encoding/json refuses to write.
+func appendNumberLiteral(dst []byte, n json.Number) ([]byte, bool) {
+	num := n.String()
+	if num == "" {
+		num = "0" // encoding/json writes the zero Number as 0
+	}
+	if !validNumber(num) {
+		return nil, false
+	}
+	return normalizeNumber(dst, num), true
 }
 
 // validNumber reports whether num is a JSON number literal, by the grammar

@@ -66,8 +66,10 @@ type AlgorithmSpec struct {
 
 // ParamInt returns the integer parameter key, or def when absent. Parsed
 // JSON numbers arrive as json.Number (Parse decodes with UseNumber, so
-// 64-bit values survive exactly); a non-integral or out-of-range value is
-// an error, never a silent truncation.
+// 64-bit values survive exactly) and are read in the canonical encoding's
+// normal form, so "5", "5.0" and "5e0" — one content address — are all 5;
+// a non-integral or out-of-range value is an error, never a silent
+// truncation.
 func (a AlgorithmSpec) ParamInt(key string, def int) (int, error) {
 	switch v := a.Params[key].(type) {
 	case nil:
@@ -75,7 +77,7 @@ func (a AlgorithmSpec) ParamInt(key string, def int) (int, error) {
 	case int:
 		return v, nil
 	case json.Number:
-		n, err := strconv.ParseInt(v.String(), 10, 64)
+		n, err := strconv.ParseInt(normalParam(v), 10, 64)
 		if err != nil || int64(int(n)) != n {
 			return 0, fmt.Errorf("param %q: %q is not an int-sized integer", key, v.String())
 		}
@@ -106,7 +108,7 @@ func (a AlgorithmSpec) ParamUint64(key string, def uint64) (uint64, error) {
 		}
 		return uint64(v), nil
 	case json.Number:
-		n, err := strconv.ParseUint(v.String(), 10, 64)
+		n, err := strconv.ParseUint(normalParam(v), 10, 64)
 		if err != nil {
 			return 0, fmt.Errorf("param %q: %q is not a non-negative integer", key, v.String())
 		}
@@ -119,6 +121,19 @@ func (a AlgorithmSpec) ParamUint64(key string, def uint64) (uint64, error) {
 	default:
 		return 0, fmt.Errorf("param %q: %T is not a non-negative integer", key, v)
 	}
+}
+
+// normalParam is a json.Number param in the form the canonical encoding
+// gives it: the integer accessors parse this form, so spellings that
+// share a key also share an outcome. An invalid literal, which has no key,
+// yields "" and fails to parse.
+func normalParam(n json.Number) string {
+	var buf [32]byte
+	norm, ok := appendNumberLiteral(buf[:0], n)
+	if !ok {
+		return ""
+	}
+	return string(norm)
 }
 
 // ParamString returns the string parameter key, or def when absent; a

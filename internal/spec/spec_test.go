@@ -1,7 +1,9 @@
 package spec
 
 import (
+	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -357,6 +359,101 @@ func TestBadParamsFailLoudly(t *testing.T) {
 	}
 	if _, err := sp.Compile(); err == nil || !strings.Contains(err.Error(), "not a string") {
 		t.Errorf("numeric gossip message compiled: %v", err)
+	}
+}
+
+// TestParamNumberSpellings reads json.Number params the way Parse delivers
+// them: integral spellings the canonical encoding gives one key ("5.0",
+// "5e0", "-0") read as that integer; fractions, out-of-range values and
+// invalid literals stay errors.
+func TestParamNumberSpellings(t *testing.T) {
+	const fail = "error"
+	for _, c := range []struct {
+		num      string
+		asInt    string
+		asUint64 string
+	}{
+		{"5", "5", "5"},
+		{"5.0", "5", "5"},
+		{"5e0", "5", "5"},
+		{"50e-1", "5", "5"},
+		{"1e2", "100", "100"},
+		{"-0", "0", "0"},
+		{"", "0", "0"},
+		{"-3.0", "-3", fail},
+		{"-1", "-1", fail},
+		{"1e15", "1000000000000000", "1000000000000000"},
+		{"9223372036854775807", "9223372036854775807", "9223372036854775807"},
+		{"9223372036854775808", fail, "9223372036854775808"},
+		{"18446744073709551615", fail, "18446744073709551615"},
+		{"5.5", fail, fail},
+		{"1e400", fail, fail},
+		{"9007199254740993.0", fail, fail},
+		{"1e16", fail, fail},
+		{"+5", fail, fail},
+		{"0x10", fail, fail},
+		{"05", fail, fail},
+		{"Inf", fail, fail},
+	} {
+		a := AlgorithmSpec{Params: map[string]any{"x": json.Number(c.num)}}
+		got := fail
+		if n, err := a.ParamInt("x", 1); err == nil {
+			got = strconv.Itoa(n)
+		}
+		if got != c.asInt {
+			t.Errorf("ParamInt(%q) = %s, want %s", c.num, got, c.asInt)
+		}
+		got = fail
+		if n, err := a.ParamUint64("x", 1); err == nil {
+			got = strconv.FormatUint(n, 10)
+		}
+		if got != c.asUint64 {
+			t.Errorf("ParamUint64(%q) = %s, want %s", c.num, got, c.asUint64)
+		}
+	}
+}
+
+// TestParamOutcomeFollowsKey checks that json.Number spellings with one
+// canonical encoding — one content address — read alike through both
+// integer accessors, so a cached outcome is right for every spelling.
+func TestParamOutcomeFollowsKey(t *testing.T) {
+	digits := []string{"0", "5", "50", "500", "05", "1", "9"}
+	var spellings []string
+	for _, m := range digits {
+		for _, frac := range []string{"", ".0", ".00", ".5"} {
+			for _, exp := range []string{"", "e0", "e1", "e-1", "E+2", "e400"} {
+				for _, sign := range []string{"", "-"} {
+					spellings = append(spellings, sign+m+frac+exp)
+				}
+			}
+		}
+	}
+	type outcome struct {
+		i    int
+		u    uint64
+		iErr bool
+		uErr bool
+	}
+	byKey := map[string]outcome{}
+	first := map[string]string{}
+	for _, num := range spellings {
+		canon, err := appendValue(nil, json.Number(num))
+		if err != nil {
+			continue // no key, never cached
+		}
+		a := AlgorithmSpec{Params: map[string]any{"x": json.Number(num)}}
+		var o outcome
+		o.i, err = a.ParamInt("x", 0)
+		o.iErr = err != nil
+		o.u, err = a.ParamUint64("x", 0)
+		o.uErr = err != nil
+		if prev, ok := byKey[string(canon)]; ok && prev != o {
+			t.Errorf("%q and %q share the key material %s but read %+v and %+v", first[string(canon)], num, canon, prev, o)
+		}
+		byKey[string(canon)], first[string(canon)] = o, num
+	}
+	if len(byKey) < 20 {
+		t.Fatalf("only %d distinct keys; the spelling grid is too thin", len(byKey))
 	}
 }
 

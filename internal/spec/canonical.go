@@ -71,7 +71,7 @@ func (g GraphSpec) appendCanonical(dst []byte) ([]byte, error) {
 	}
 	if g.P != 0 { // -0 is zero to omitempty too; NaN is not
 		dst = append(dst, `,"p":`...)
-		if dst, err = appendFloat(dst, g.P, 64); err != nil {
+		if dst, err = appendFloat(dst, g.P); err != nil {
 			return nil, err
 		}
 	}
@@ -115,9 +115,10 @@ func (ag AgentSpec) appendCanonical(dst []byte) ([]byte, error) {
 
 // appendValue appends the canonical encoding of a param value. The values
 // a JSON decode yields (nil, bool, string, json.Number, []any and
-// map[string]any) and Go's integer and float types are written directly;
-// any other value — a []int, a struct, a json.Marshaler — is marshaled on
-// its own, decoded, and written from the decoded form.
+// map[string]any) and the int, int64, uint64 and float64 params Go code
+// builds are written directly; any other value — an int32, a []int, a
+// struct, a json.Marshaler — is marshaled on its own, decoded, and
+// written from the decoded form.
 func appendValue(dst []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
@@ -133,27 +134,11 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 		_, err := json.Marshal(x) // the error encoding/json reports
 		return nil, err
 	case float64:
-		return appendFloat(dst, x, 64)
-	case float32:
-		return appendFloat(dst, float64(x), 32)
+		return appendFloat(dst, x)
 	case int:
-		return strconv.AppendInt(dst, int64(x), 10), nil
-	case int8:
-		return strconv.AppendInt(dst, int64(x), 10), nil
-	case int16:
-		return strconv.AppendInt(dst, int64(x), 10), nil
-	case int32:
 		return strconv.AppendInt(dst, int64(x), 10), nil
 	case int64:
 		return strconv.AppendInt(dst, x, 10), nil
-	case uint:
-		return strconv.AppendUint(dst, uint64(x), 10), nil
-	case uint8:
-		return strconv.AppendUint(dst, uint64(x), 10), nil
-	case uint16:
-		return strconv.AppendUint(dst, uint64(x), 10), nil
-	case uint32:
-		return strconv.AppendUint(dst, uint64(x), 10), nil
 	case uint64:
 		return strconv.AppendUint(dst, x, 10), nil
 	case []any:
@@ -257,22 +242,20 @@ func appendEscaped(dst []byte, s string) ([]byte, error) {
 	return append(dst, enc...), nil
 }
 
-// appendFloat appends f the way encoding/json prints a float of the given
-// bit size — shortest form, exponent only below 1e-6 or from 1e21 on —
-// passed through normalizeNumber.
-func appendFloat(dst []byte, f float64, bits int) ([]byte, error) {
+// appendFloat appends f the way encoding/json prints a float64 — shortest
+// form, exponent only below 1e-6 or from 1e21 on — passed through
+// normalizeNumber.
+func appendFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		_, err := json.Marshal(f) // the error encoding/json reports
 		return nil, err
 	}
 	format := byte('f')
-	if abs := math.Abs(f); abs != 0 {
-		if bits == 64 && (abs < 1e-6 || abs >= 1e21) || bits == 32 && (float32(abs) < 1e-6 || float32(abs) >= 1e21) {
-			format = 'e'
-		}
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
 	}
 	var buf [32]byte
-	num := strconv.AppendFloat(buf[:0], f, format, -1, bits)
+	num := strconv.AppendFloat(buf[:0], f, format, -1, 64)
 	if n := len(num); format == 'e' && n >= 4 && num[n-4] == 'e' && num[n-3] == '-' && num[n-2] == '0' {
 		num[n-2] = num[n-1] // e-07 → e-7, as encoding/json prints it
 		num = num[:n-1]

@@ -233,18 +233,16 @@ func referenceNumber(n json.Number) string {
 }
 
 // checkAgainstReference fails unless CanonicalSpec and the reference agree
-// on sp: the same bytes, or both an error.
+// on sp: the same bytes, or the same error. (A spec with two faults may
+// report either first; the tests give each failing spec one.)
 func checkAgainstReference(t *testing.T, name string, sp spec.ScenarioSpec) {
 	t.Helper()
 	got, err := CanonicalSpec(sp)
 	want, refErr := referenceCanonicalSpec(sp)
-	if (err != nil) != (refErr != nil) {
+	if (err != nil) != (refErr != nil) || err != nil && err.Error() != refErr.Error() {
 		t.Fatalf("%s: CanonicalSpec error %v, reference error %v", name, err, refErr)
 	}
 	if err != nil {
-		if !strings.HasPrefix(err.Error(), "service: canonicalize: ") {
-			t.Errorf("%s: error %q lacks the service: canonicalize: prefix", name, err)
-		}
 		return
 	}
 	if !bytes.Equal(got, want) {
@@ -257,21 +255,6 @@ func checkAgainstReference(t *testing.T, name string, sp spec.ScenarioSpec) {
 func TestCanonicalSpecMatchesReference(t *testing.T) {
 	for _, c := range keyCorpus(t) {
 		checkAgainstReference(t, c.name, c.sp)
-	}
-}
-
-// TestCanonicalErrorsMatchReference pins the error text of inputs with a
-// single fault: the one-pass encoder reports what encoding/json reports.
-func TestCanonicalErrorsMatchReference(t *testing.T) {
-	for _, c := range keyCorpus(t) {
-		if !c.wantErr {
-			continue
-		}
-		_, err := CanonicalSpec(c.sp)
-		_, refErr := referenceCanonicalSpec(c.sp)
-		if err == nil || refErr == nil || err.Error() != refErr.Error() {
-			t.Errorf("%s: error %v, reference error %v", c.name, err, refErr)
-		}
 	}
 }
 

@@ -220,26 +220,20 @@ func decodeRoundTrip(v any) (any, error) {
 func appendString(dst []byte, s string) ([]byte, error) {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return appendEscaped(dst, s)
+			decoded, err := decodeRoundTrip(s)
+			if err != nil {
+				return nil, err
+			}
+			enc, err := json.Marshal(decoded)
+			if err != nil {
+				return nil, err
+			}
+			return append(dst, enc...), nil
 		}
 	}
 	dst = append(dst, '"')
 	dst = append(dst, s...)
 	return append(dst, '"'), nil
-}
-
-func appendEscaped(dst []byte, s string) ([]byte, error) {
-	enc, err := json.Marshal(s)
-	if err == nil {
-		err = json.Unmarshal(enc, &s)
-	}
-	if err == nil {
-		enc, err = json.Marshal(s)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, enc...), nil
 }
 
 // appendFloat appends f the way encoding/json prints a float64 — shortest

@@ -407,7 +407,9 @@ var (
 	// NewService returns a started simulation service; Close it when done.
 	NewService = service.New
 	// CanonicalSpec returns a spec's canonical JSON encoding — the cache
-	// key material (name stripped, sorted keys, normalized numbers).
+	// key material (name stripped, sorted keys, normalized numbers),
+	// written in one pass over the spec's fields by
+	// ScenarioSpec.AppendCanonical.
 	CanonicalSpec = service.CanonicalSpec
 	// SpecKey returns a spec's content address: hex SHA-256 of its
 	// canonical encoding. Equal keys mean equal runs.

@@ -24,7 +24,7 @@ type Loose struct {
 }
 
 // Options-style maps with string keys and any values are fine: the
-// canonicalizer re-normalizes every JSON value it decodes.
+// canonical encoder normalizes every value in them.
 type Options struct {
 	Params map[string]any `json:"params,omitempty"`
 }

@@ -10,9 +10,10 @@
 // interface-typed field makes the encoding depend on the dynamic type at
 // runtime, and a non-string map key drags in Go's TextMarshaler fallback
 // ordering; both put bytes on the wire the canonicalizer never sees
-// coming. (map[string]any values are fine: canonicalization re-decodes
-// and normalizes every JSON value, so only the key order and field names
-// need to be pinned statically.)
+// coming. (map[string]any values are fine: the canonical encoder
+// normalizes every param value, directly or through a per-value
+// encoding/json round trip, so only the key order and field names need to
+// be pinned statically.)
 //
 // A struct is wire-reachable if any of its fields already carries a json
 // tag, if it appears in an encoding/json marshal/unmarshal/encode/decode

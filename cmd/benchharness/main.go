@@ -4,655 +4,32 @@
 //
 // Usage:
 //
-//	benchharness [-full] [-csv] [-only E2,E6] [-json BENCH_PR1.json]
+//	benchharness [-full] [-csv] [-only E2,E6]
 //
 // By default it runs the quick scale; -full runs the sizes recorded in
-// EXPERIMENTS.md (minutes, not seconds). -json additionally writes a
-// machine-readable perf record — per experiment: wall time, table rows,
-// logical rounds simulated and active rounds stepped (the gap is the
-// event-driven clock's fast-forward win) — to the given file, for
-// tracking the performance trajectory across PRs. The record also carries
-// service-throughput numbers: distinct specs POSTed to an in-process
-// gatherd cold (cache misses) and hot (cache hits), with requests/sec for
-// both phases, an aggregation record comparing summary-mode sweep
-// consumption (one internal/agg document) against raw NDJSON streaming —
-// wall time and bytes shipped for each — and a cluster record: a
-// cost-skewed summary-only sweep dispatched over 1, 2 and 4 paced
-// fixed-capacity gatherd backends by a cluster.Coordinator, chunked
-// scheduler vs static split, with per-row wall times, scheduler counters,
-// a chunks-per-worker granularity sweep and the canonical bit-identity of
-// the merged total against the local fold. The bench sweep's summary
-// table (the same table gathersim -summary prints) goes to stdout.
+// EXPERIMENTS.md (minutes, not seconds). Performance is measured by the
+// repository benchmark (perfbench/, named in BENCHMARK.json), not here.
 package main
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
-	"nochatter/internal/agg"
-	"nochatter/internal/cluster"
 	"nochatter/internal/experiments"
-	"nochatter/internal/obs"
-	"nochatter/internal/sched"
-	"nochatter/internal/service"
-	"nochatter/internal/sim"
-	"nochatter/internal/spec"
 )
-
-// experimentRecord is one experiment's entry of the -json perf record.
-type experimentRecord struct {
-	ID              string  `json:"id"`
-	Rows            int     `json:"rows"`
-	WallMS          float64 `json:"wall_ms"`
-	SimulatedRounds int64   `json:"simulated_rounds"`
-	SteppedRounds   int64   `json:"stepped_rounds"`
-}
-
-// benchRecord is one end-to-end benchmark entry of the -json perf record.
-type benchRecord struct {
-	Name            string  `json:"name"`
-	WallMS          float64 `json:"wall_ms"` // best of three runs
-	SimulatedRounds int     `json:"simulated_rounds"`
-	SteppedRounds   int     `json:"stepped_rounds"`
-}
-
-// serviceRecord is the gatherd service-throughput entry of the -json perf
-// record: a cold pass (every spec a cache miss) followed by hot passes
-// (every request a cache hit) over the same distinct specs, all through
-// real HTTP round trips against an in-process server.
-type serviceRecord struct {
-	DistinctSpecs  int     `json:"distinct_specs"`
-	Requests       int     `json:"requests"`
-	WallMS         float64 `json:"wall_ms"`
-	RequestsPerSec float64 `json:"requests_per_sec"`
-	ColdWallMS     float64 `json:"cold_wall_ms"`
-	HotWallMS      float64 `json:"hot_wall_ms"`
-	HotPerSec      float64 `json:"hot_requests_per_sec"`
-	CacheHits      int64   `json:"cache_hits"`
-	CacheMisses    int64   `json:"cache_misses"`
-	RoundsServed   int64   `json:"rounds_simulated"`
-}
-
-// aggRecord is the summary-aggregation entry of the -json perf record: the
-// same sweep consumed four ways. Locally: the fold-as-you-stream path
-// (agg.Summarize, O(workers) memory) vs materializing every raw result and
-// folding afterwards. Over HTTP: a summary=only job answered by one
-// aggregate document vs streaming every raw NDJSON row, plus the repeat
-// summary request served from the summary cache. Bytes are response-body
-// bytes shipped to the client — the row-firehose cost summaries exist to
-// avoid.
-type aggRecord struct {
-	Specs                int     `json:"specs"`
-	Groups               int     `json:"groups"`
-	LocalFoldWallMS      float64 `json:"local_fold_wall_ms"`
-	LocalRawWallMS       float64 `json:"local_raw_wall_ms"`
-	ServiceRawWallMS     float64 `json:"service_raw_wall_ms"`
-	ServiceRawBytes      int64   `json:"service_raw_bytes"`
-	ServiceSummaryWallMS float64 `json:"service_summary_wall_ms"`
-	ServiceSummaryBytes  int64   `json:"service_summary_bytes"`
-	SummaryRepeatWallMS  float64 `json:"service_summary_repeat_wall_ms"`
-}
-
-// clusterScaleRecord is one (fleet size, planner) row of the cluster bench.
-type clusterScaleRecord struct {
-	Backends int     `json:"backends"`
-	Planner  string  `json:"planner"` // "chunked" (cost-model scheduler) or "static" (one shard per worker)
-	Chunks   int64   `json:"chunks"`  // chunks dispatched across the sweep
-	Stolen   int64   `json:"stolen"`  // chunks claimed off another worker's queue
-	WallMS   float64 `json:"wall_ms"`
-	Speedup  float64 `json:"speedup_vs_1"` // vs the 1-backend chunked row
-}
-
-// chunkSizeRecord is one chunks-per-worker setting of the granularity
-// sweep, run at the largest fleet size.
-type chunkSizeRecord struct {
-	ChunksPerWorker int     `json:"chunks_per_worker"`
-	Chunks          int64   `json:"chunks"`
-	WallMS          float64 `json:"wall_ms"`
-	Speedup         float64 `json:"speedup_vs_1"`
-}
-
-// clusterRecord is the cluster-scheduling entry of the -json perf record:
-// one deliberately cost-skewed summary-only sweep dispatched by a
-// cluster.Coordinator over fleets of 1, 2 and 4 gatherd backends, through
-// real HTTP round trips, under the chunked scheduler and under the static
-// one-shard-per-worker split it replaced (BENCH_PR5.json measured 0.94x
-// for the latter).
-//
-// The backends are fixed-capacity emulations: each runs the real engine —
-// results, and therefore the merged summary bytes, are the real thing —
-// and then holds the job worker for a sleep proportional to the run's
-// actual stepped rounds (PacingUSPerStep per stepped round, Parallelism
-// job slots per backend). On a HostCores-core host this is the only way
-// N co-located backends can exhibit N-fold capacity; pacing by measured
-// stepped rounds rather than the planner's model keeps the bench honest —
-// the plan only approximates the pacing, so the dispatcher's stealing has
-// to absorb the model error, exactly as against real machines.
-// MergedIdentical records the determinism law the cluster rests on: the
-// 4-backend merged summary is canonically bit-identical to the local fold.
-type clusterRecord struct {
-	Specs              int                  `json:"specs"`
-	BackendParallelism int                  `json:"backend_parallelism"`
-	HostCores          int                  `json:"host_cores"`
-	PacingUSPerStep    float64              `json:"pacing_us_per_stepped_round"`
-	MergedIdentical    bool                 `json:"merged_identical_to_local"`
-	Scales             []clusterScaleRecord `json:"scales"`
-	ChunkSizes         []chunkSizeRecord    `json:"chunk_sizes"`
-}
-
-// obsRecord records the observability tax on the GatherRing16 scenario:
-// rounds/sec with the runner uninstrumented versus with a metrics registry
-// attached (sim.WithMetrics) and a tracer recording a span per run. The
-// PR 8 acceptance bar is an enabled/disabled ratio above 0.98 — under 2%
-// regression — which holds because every per-run observation is a handful
-// of atomic adds and one bounded ring append, no allocation on the path.
-type obsRecord struct {
-	Runs                 int     `json:"runs"`
-	RoundsPerSecDisabled float64 `json:"rounds_per_sec_disabled"`
-	RoundsPerSecEnabled  float64 `json:"rounds_per_sec_enabled"`
-	EnabledOverDisabled  float64 `json:"enabled_over_disabled"`
-}
-
-// perfRecord is the top-level -json document.
-type perfRecord struct {
-	Scale                string             `json:"scale"`
-	TotalWallMS          float64            `json:"total_wall_ms"`
-	TotalSimulatedRounds int64              `json:"total_simulated_rounds"`
-	TotalSteppedRounds   int64              `json:"total_stepped_rounds"`
-	Experiments          []experimentRecord `json:"experiments"`
-	Benchmarks           []benchRecord      `json:"benchmarks"`
-	Service              *serviceRecord     `json:"service,omitempty"`
-	Aggregation          *aggRecord         `json:"aggregation,omitempty"`
-	Cluster              *clusterRecord     `json:"cluster,omitempty"`
-	Obs                  *obsRecord         `json:"obs,omitempty"`
-}
-
-// gatherBench measures one wait-heavy end-to-end gathering (the scenario of
-// BenchmarkGatherRing8 / BenchmarkGatherRing16 in bench_test.go), best of
-// three runs. The scenario is declared as a spec and compiled once;
-// compiled scenarios are re-runnable (programs are stateless closures).
-func gatherBench(name string, n int, labels [2]int) (benchRecord, error) {
-	rec := benchRecord{Name: name}
-	sc, err := spec.ScenarioSpec{
-		Name:  name,
-		Graph: spec.GraphSpec{Family: "ring", N: n},
-		Agents: []spec.AgentSpec{
-			{Label: labels[0], Start: 0, Algorithm: spec.Known()},
-			{Label: labels[1], Start: n / 2, Algorithm: spec.Known()},
-		},
-	}.Compile()
-	if err != nil {
-		return rec, err
-	}
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		res, err := sim.Run(sc)
-		wall := float64(time.Since(start).Microseconds()) / 1000
-		if err != nil {
-			return rec, err
-		}
-		if !res.AllHaltedTogether() {
-			return rec, fmt.Errorf("%s: agents did not gather", name)
-		}
-		if i == 0 || wall < rec.WallMS {
-			rec.WallMS = wall
-		}
-		rec.SimulatedRounds = res.Rounds
-		rec.SteppedRounds = res.SteppedRounds
-	}
-	return rec, nil
-}
-
-// serviceBench measures the gatherd HTTP path: distinct specs POSTed cold
-// (each compiles and runs), then hot passes of the same specs (each an
-// O(1) cache lookup), 8 concurrent clients against an in-process server.
-func serviceBench() (*serviceRecord, error) {
-	svc := service.New(service.Config{})
-	defer svc.Close()
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	specs, err := spec.NewSweep().
-		Name("svc-{family}-n{n}").
-		Families("ring", "path", "complete").Sizes(6, 8, 10, 12, 14, 16).
-		Teams(spec.Team{Labels: []int{1, 2}}).
-		Specs()
-	if err != nil {
-		return nil, err
-	}
-	bodies := make([][]byte, len(specs))
-	for i, sp := range specs {
-		if bodies[i], err = json.Marshal(sp); err != nil {
-			return nil, err
-		}
-	}
-	const clients = 8
-	const hotPasses = 20
-	post := func(reqs [][]byte) error {
-		idx := make(chan int)
-		errCh := make(chan error, clients)
-		for w := 0; w < clients; w++ {
-			go func() {
-				var werr error
-				// Keep draining idx after a failure: an early return would
-				// strand the feeder on the unbuffered channel.
-				for i := range idx {
-					if werr != nil {
-						continue
-					}
-					resp, err := http.Post(srv.URL+"/v1/run", "application/json", bytes.NewReader(reqs[i]))
-					if err != nil {
-						werr = err
-						continue
-					}
-					_, _ = io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						werr = fmt.Errorf("service run: HTTP %d", resp.StatusCode)
-					}
-				}
-				errCh <- werr
-			}()
-		}
-		for i := range reqs {
-			idx <- i
-		}
-		close(idx)
-		for w := 0; w < clients; w++ {
-			if err := <-errCh; err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	rec := &serviceRecord{DistinctSpecs: len(specs)}
-	start := time.Now()
-	if err := post(bodies); err != nil {
-		return nil, err
-	}
-	rec.ColdWallMS = float64(time.Since(start).Microseconds()) / 1000
-
-	hot := make([][]byte, 0, len(specs)*hotPasses)
-	for p := 0; p < hotPasses; p++ {
-		hot = append(hot, bodies...)
-	}
-	hotStart := time.Now()
-	if err := post(hot); err != nil {
-		return nil, err
-	}
-	rec.HotWallMS = float64(time.Since(hotStart).Microseconds()) / 1000
-	rec.WallMS = float64(time.Since(start).Microseconds()) / 1000
-	rec.Requests = len(specs) + len(hot)
-	if rec.WallMS > 0 {
-		rec.RequestsPerSec = float64(rec.Requests) / (rec.WallMS / 1000)
-	}
-	if rec.HotWallMS > 0 {
-		rec.HotPerSec = float64(len(hot)) / (rec.HotWallMS / 1000)
-	}
-	m := svc.Snapshot()
-	rec.CacheHits, rec.CacheMisses, rec.RoundsServed = m.CacheHits, m.CacheMisses, m.RoundsSimulated
-	return rec, nil
-}
-
-// aggBench measures the same sweep consumed in summary mode vs raw mode,
-// locally and over HTTP (fresh services for each HTTP phase, so both start
-// cold), and prints the sweep's summary table. The local fold and the
-// served summary are the same deterministic artifact — DESIGN.md §9 — so
-// this is a pure consumption-cost comparison.
-func aggBench() (*aggRecord, error) {
-	// The wake-schedule axis multiplies runs per group without multiplying
-	// groups (wakes are not part of the group key), so each (family, n, k)
-	// cell summarizes a distribution over adversarial wake-ups — the shape
-	// where one summary document replaces many raw rows.
-	def := spec.SweepDef{
-		Name:      "agg-{family}-n{n}-w{wake}",
-		Families:  []string{"ring", "path", "complete"},
-		Sizes:     []int{6, 8, 10, 12, 14, 16},
-		TeamSizes: []int{2},
-		Wakes:     [][]int{{0, 0}, {0, 7}, {7, 0}, {0, 31}, {31, 0}, {0, 101}},
-	}
-	specs, err := def.Sweep().Specs()
-	if err != nil {
-		return nil, err
-	}
-	rec := &aggRecord{Specs: len(specs)}
-
-	// Both local phases run the same precompiled scenarios, so the timers
-	// compare run+fold against run+materialize+fold — not compilation.
-	scs, err := spec.CompileAll(specs)
-	if err != nil {
-		return nil, err
-	}
-
-	// Local fold-as-you-stream: results are folded by the workers that
-	// produce them, never materialized.
-	start := time.Now()
-	sum := agg.SummarizeScenarios(sim.NewRunner(), specs, scs)
-	rec.LocalFoldWallMS = float64(time.Since(start).Microseconds()) / 1000
-	rec.Groups = len(sum.Groups())
-
-	// Local raw: materialize every result with RunBatch, then fold.
-	start = time.Now()
-	raw := agg.NewSummary()
-	for _, br := range sim.RunBatch(scs) {
-		raw.Observe(agg.KeyOf(specs[br.Index]), br.Result, br.Err, br.Wall)
-	}
-	rec.LocalRawWallMS = float64(time.Since(start).Microseconds()) / 1000
-
-	body, err := json.Marshal(def)
-	if err != nil {
-		return nil, err
-	}
-	submit := func(base, query string) (string, error) {
-		resp, err := http.Post(base+"/v1/sweeps"+query, "application/json", bytes.NewReader(body))
-		if err != nil {
-			return "", err
-		}
-		defer resp.Body.Close()
-		var acc service.SweepAccepted
-		if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-			return "", err
-		}
-		if resp.StatusCode != http.StatusAccepted {
-			return "", fmt.Errorf("sweep submit: HTTP %d", resp.StatusCode)
-		}
-		return acc.JobID, nil
-	}
-	fetch := func(base, path string) (int64, error) {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			return 0, err
-		}
-		defer resp.Body.Close()
-		n, err := io.Copy(io.Discard, resp.Body)
-		if err != nil {
-			return 0, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return 0, fmt.Errorf("GET %s: HTTP %d", path, resp.StatusCode)
-		}
-		return n, nil
-	}
-
-	// Raw streaming over HTTP: submit, then drain every NDJSON row.
-	{
-		svc := service.New(service.Config{})
-		srv := httptest.NewServer(svc.Handler())
-		start = time.Now()
-		id, err := submit(srv.URL, "")
-		if err == nil {
-			rec.ServiceRawBytes, err = fetch(srv.URL, "/v1/jobs/"+id+"/results")
-		}
-		rec.ServiceRawWallMS = float64(time.Since(start).Microseconds()) / 1000
-		srv.Close()
-		svc.Close()
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Summary mode over HTTP: submit summary=only (raw rows are never
-	// retained), long-poll the one summary document, then repeat the GET to
-	// measure the summary-cache hit.
-	{
-		svc := service.New(service.Config{})
-		srv := httptest.NewServer(svc.Handler())
-		start = time.Now()
-		id, err := submit(srv.URL, "?summary=only")
-		if err == nil {
-			rec.ServiceSummaryBytes, err = fetch(srv.URL, "/v1/jobs/"+id+"/summary")
-		}
-		rec.ServiceSummaryWallMS = float64(time.Since(start).Microseconds()) / 1000
-		if err == nil {
-			start = time.Now()
-			_, err = fetch(srv.URL, "/v1/jobs/"+id+"/summary")
-			rec.SummaryRepeatWallMS = float64(time.Since(start).Microseconds()) / 1000
-		}
-		srv.Close()
-		svc.Close()
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	sum.Table(fmt.Sprintf("aggregation bench sweep (%d scenarios)", rec.Specs)).Render(os.Stdout)
-	fmt.Printf("  summary mode shipped %d bytes vs %d raw (%.1fx less)\n\n",
-		rec.ServiceSummaryBytes, rec.ServiceRawBytes,
-		float64(rec.ServiceRawBytes)/float64(rec.ServiceSummaryBytes))
-	return rec, nil
-}
-
-// clusterBench dispatches one cost-skewed summary-only sweep over fleets
-// of 1, 2 and 4 paced in-process gatherd backends (see clusterRecord for
-// the emulation), under the chunked scheduler and under the static split,
-// plus a chunks-per-worker granularity sweep at 4 backends. Every fleet
-// run starts cold (fresh services), so the numbers compare scheduled
-// engine work, not cache hits.
-func clusterBench() (*clusterRecord, error) {
-	// Deliberately skewed: barbell exploration cost grows ~n^1.5, so the
-	// barbell block at the tail of the expansion dwarfs the rings at the
-	// head by two orders of magnitude — the shape that pinned the static
-	// split at 0.94x in BENCH_PR5.json. Wake schedules stay ≤ 101: bounded
-	// wakes multiply runs without pushing any scenario into the
-	// round-budget cap, whose multi-second outliers would let a single
-	// spec dominate every schedule (BENCH_PR5.json measured exactly that).
-	def := spec.SweepDef{
-		Name:      "sched-{family}-n{n}-w{wake}",
-		Families:  []string{"ring", "star", "barbell"},
-		Sizes:     []int{6, 8, 12, 16, 24, 32},
-		TeamSizes: []int{2},
-		Wakes: [][]int{{0, 0}, {0, 7}, {7, 0}, {0, 13}, {13, 0}, {0, 31},
-			{31, 0}, {0, 57}, {57, 0}, {0, 101}, {101, 0}, {0, 77}},
-	}
-	specs, err := def.Specs()
-	if err != nil {
-		return nil, err
-	}
-	const backendParallelism = 2
-	const pace = 2 * time.Microsecond // per stepped round
-	rec := &clusterRecord{
-		Specs:              len(specs),
-		BackendParallelism: backendParallelism,
-		HostCores:          runtime.NumCPU(),
-		PacingUSPerStep:    float64(pace) / float64(time.Microsecond),
-	}
-
-	local, err := agg.Summarize(sim.NewRunner(), specs)
-	if err != nil {
-		return nil, err
-	}
-	localCanon, err := local.CanonicalJSON()
-	if err != nil {
-		return nil, err
-	}
-
-	// runFleet times one cold sweep over a fresh paced fleet.
-	runFleet := func(backends int, planner sched.Planner) (float64, sched.FleetStats, []byte, error) {
-		workers := make([]*cluster.Worker, backends)
-		var closers []func()
-		for i := range workers {
-			svc := service.New(service.Config{Parallelism: backendParallelism})
-			svc.SetExecutor(func(sp spec.ScenarioSpec) (*sim.RunResult, error) {
-				res, err := sp.Run()
-				if err != nil {
-					return nil, err
-				}
-				time.Sleep(time.Duration(res.SteppedRounds) * pace)
-				return res, nil
-			})
-			srv := httptest.NewServer(svc.Handler())
-			closers = append(closers, srv.Close, svc.Close)
-			workers[i] = cluster.NewWorker(srv.URL)
-		}
-		defer func() {
-			for _, c := range closers {
-				c()
-			}
-		}()
-		coord := cluster.NewCoordinator(workers...)
-		coord.SetPlanner(planner)
-		start := time.Now()
-		merged, err := coord.SummarizeSpecs(context.Background(), specs)
-		wall := float64(time.Since(start).Microseconds()) / 1000
-		if err != nil {
-			return 0, sched.FleetStats{}, nil, err
-		}
-		canon, err := merged.CanonicalJSON()
-		if err != nil {
-			return 0, sched.FleetStats{}, nil, err
-		}
-		return wall, coord.Stats(), canon, nil
-	}
-	stolen := func(fs sched.FleetStats) int64 {
-		var s int64
-		for _, w := range fs.Workers {
-			s += w.Stolen
-		}
-		return s
-	}
-
-	var base float64 // the 1-backend chunked wall, every row's denominator
-	for _, row := range []struct {
-		backends int
-		planner  sched.Planner
-		name     string
-	}{
-		{1, sched.Planner{}, "chunked"},
-		{2, sched.Planner{}, "chunked"},
-		{4, sched.Planner{}, "chunked"},
-		{2, sched.Planner{Static: true}, "static"},
-		{4, sched.Planner{Static: true}, "static"},
-	} {
-		wall, fs, canon, err := runFleet(row.backends, row.planner)
-		if err != nil {
-			return nil, err
-		}
-		if base == 0 {
-			base = wall
-		}
-		sr := clusterScaleRecord{
-			Backends: row.backends, Planner: row.name,
-			Chunks: fs.Chunks, Stolen: stolen(fs), WallMS: wall,
-		}
-		if wall > 0 {
-			sr.Speedup = base / wall
-		}
-		rec.Scales = append(rec.Scales, sr)
-		if row.backends == 4 && row.name == "chunked" {
-			rec.MergedIdentical = bytes.Equal(canon, localCanon)
-		}
-	}
-
-	// Granularity sweep: how chunk count trades balance against per-chunk
-	// submission overhead, at the largest fleet.
-	for _, cpw := range []int{1, 2, 4, 8, 16} {
-		wall, fs, _, err := runFleet(4, sched.Planner{ChunksPerWorker: cpw})
-		if err != nil {
-			return nil, err
-		}
-		cs := chunkSizeRecord{ChunksPerWorker: cpw, Chunks: fs.Chunks, WallMS: wall}
-		if wall > 0 {
-			cs.Speedup = base / wall
-		}
-		rec.ChunkSizes = append(rec.ChunkSizes, cs)
-	}
-
-	fmt.Printf("cluster bench: %d specs (paced backends, %.0fus/stepped round)\n", rec.Specs, rec.PacingUSPerStep)
-	for _, sr := range rec.Scales {
-		fmt.Printf("  %-7s %d backends: %6.0f ms  %.2fx  (%d chunks, %d stolen)\n",
-			sr.Planner, sr.Backends, sr.WallMS, sr.Speedup, sr.Chunks, sr.Stolen)
-	}
-	fmt.Printf("  merged identical to local fold: %v\n\n", rec.MergedIdentical)
-	return rec, nil
-}
-
-// obsBench measures the observability tax: the GatherRing16 scenario run
-// as a single-threaded batch with the runner bare, then with a metrics
-// registry attached (sim.WithMetrics) and a tracer recording one span per
-// run — the full per-run instrumentation the service wires up. Best of
-// three passes per configuration, alternating to share thermal conditions.
-func obsBench() (*obsRecord, error) {
-	sc, err := spec.ScenarioSpec{
-		Name:  "GatherRing16",
-		Graph: spec.GraphSpec{Family: "ring", N: 16},
-		Agents: []spec.AgentSpec{
-			{Label: 21, Start: 0, Algorithm: spec.Known()},
-			{Label: 35, Start: 8, Algorithm: spec.Known()},
-		},
-	}.Compile()
-	if err != nil {
-		return nil, err
-	}
-	const runs = 300
-	scs := make([]sim.Scenario, runs)
-	for i := range scs {
-		scs[i] = sc
-	}
-	measure := func(r *sim.Runner, tr *obs.Tracer) (float64, error) {
-		var rounds int64
-		start := time.Now()
-		tr.Record("bench", obs.NoChunk, obs.NoWorker, obs.PhaseRunning, "")
-		for _, br := range r.RunBatch(scs) {
-			if br.Err != nil {
-				return 0, br.Err
-			}
-			rounds += int64(br.Result.Rounds)
-		}
-		tr.Record("bench", obs.NoChunk, obs.NoWorker, obs.PhaseDone, "")
-		return float64(rounds) / time.Since(start).Seconds(), nil
-	}
-	reg := obs.NewRegistry()
-	tr := obs.NewTracer(obs.DefaultTraceEvents)
-	bare := sim.NewRunner(sim.WithParallelism(1))
-	instrumented := sim.NewRunner(sim.WithParallelism(1), sim.WithMetrics(reg))
-	rec := &obsRecord{Runs: runs}
-	// Best of several alternating passes: the per-run instrumentation cost
-	// is a handful of atomics (~100ns against a ~3ms run), far below
-	// scheduler noise on a shared host, so the minimum-filtered ratio is
-	// the honest estimate.
-	for pass := 0; pass < 5; pass++ {
-		d, err := measure(bare, nil)
-		if err != nil {
-			return nil, err
-		}
-		e, err := measure(instrumented, tr)
-		if err != nil {
-			return nil, err
-		}
-		if d > rec.RoundsPerSecDisabled {
-			rec.RoundsPerSecDisabled = d
-		}
-		if e > rec.RoundsPerSecEnabled {
-			rec.RoundsPerSecEnabled = e
-		}
-	}
-	rec.EnabledOverDisabled = rec.RoundsPerSecEnabled / rec.RoundsPerSecDisabled
-	return rec, nil
-}
 
 func main() {
 	full := flag.Bool("full", false, "run full-scale experiments (slower)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	only := flag.String("only", "", "comma-separated experiment IDs to run (e.g. E2,E6)")
-	jsonPath := flag.String("json", "", "write a machine-readable perf record to this file")
 	flag.Parse()
 
 	scale := experiments.Quick
-	scaleName := "quick"
 	if *full {
 		scale = experiments.Full
-		scaleName = "full"
 	}
 	wanted := map[string]bool{}
 	if *only != "" {
@@ -661,95 +38,24 @@ func main() {
 		}
 	}
 
-	record := perfRecord{Scale: scaleName}
 	failed := false
 	for _, ex := range experiments.All() {
 		if len(wanted) > 0 && !wanted[ex.ID] {
 			continue
 		}
-		simBefore, stepBefore := sim.SimulatedRounds()
 		start := time.Now()
 		table, err := ex.Run(scale)
 		wall := time.Since(start)
-		simAfter, stepAfter := sim.SimulatedRounds()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", ex.ID, err)
 			failed = true
 			continue
 		}
-		record.Experiments = append(record.Experiments, experimentRecord{
-			ID:              ex.ID,
-			Rows:            table.Len(),
-			WallMS:          float64(wall.Microseconds()) / 1000,
-			SimulatedRounds: simAfter - simBefore,
-			SteppedRounds:   stepAfter - stepBefore,
-		})
 		if *csv {
 			table.RenderCSV(os.Stdout)
 		} else {
 			table.Render(os.Stdout)
 			fmt.Printf("  (%d rows in %v)\n\n", table.Len(), wall.Round(time.Millisecond))
-		}
-	}
-	for _, er := range record.Experiments {
-		record.TotalWallMS += er.WallMS
-		record.TotalSimulatedRounds += er.SimulatedRounds
-		record.TotalSteppedRounds += er.SteppedRounds
-	}
-	if *jsonPath != "" && len(wanted) == 0 {
-		for _, b := range []struct {
-			name   string
-			n      int
-			labels [2]int
-		}{
-			{"GatherRing8", 8, [2]int{1, 2}},
-			{"GatherRing16", 16, [2]int{21, 35}},
-		} {
-			rec, err := gatherBench(b.name, b.n, b.labels)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", b.name, err)
-				failed = true
-				continue
-			}
-			record.Benchmarks = append(record.Benchmarks, rec)
-		}
-		svcRec, err := serviceBench()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "service bench: %v\n", err)
-			failed = true
-		} else {
-			record.Service = svcRec
-		}
-		aggRec, err := aggBench()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aggregation bench: %v\n", err)
-			failed = true
-		} else {
-			record.Aggregation = aggRec
-		}
-		clusterRec, err := clusterBench()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cluster bench: %v\n", err)
-			failed = true
-		} else {
-			record.Cluster = clusterRec
-		}
-		obsRec, err := obsBench()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "obs bench: %v\n", err)
-			failed = true
-		} else {
-			record.Obs = obsRec
-		}
-	}
-	if *jsonPath != "" {
-		buf, err := json.MarshalIndent(record, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*jsonPath, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
-			failed = true
 		}
 	}
 	if failed {

@@ -5,7 +5,7 @@ import (
 )
 
 // Table renders the summary as the shared reporting table gathersim
-// (-summary) and benchharness print: one row per group in sorted key order
+// (-summary) and examples/batchsweep print: one row per group in sorted key order
 // plus a TOTAL row, with the round/stepped/move percentiles and the mean
 // wall time per run in milliseconds.
 func (s *Summary) Table(title string) *trace.Table {

@@ -14,7 +14,6 @@ type Runner struct {
 	maxRounds   int
 	onRound     func(RoundView)
 	parallelism int
-	metrics     *runnerMetrics // nil unless WithMetrics; reporting-only
 }
 
 // Option configures a Runner.
@@ -85,9 +84,7 @@ func (r *Runner) runTimed(i int, sc Scenario) BatchResult {
 	start := time.Now()
 	res, err := r.Run(sc)
 	//lint:allow detrand same wall-time measurement as above; never hashed or merged canonically
-	br := BatchResult{Index: i, Result: res, Err: err, Wall: time.Since(start)}
-	r.metrics.observe(br)
-	return br
+	return BatchResult{Index: i, Result: res, Err: err, Wall: time.Since(start)}
 }
 
 // RunBatch executes all scenarios on a worker pool and returns one result

@@ -6,7 +6,6 @@ import (
 	"iter"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"nochatter/internal/graph"
 )
@@ -127,22 +126,6 @@ var (
 	ErrNoWake         = errors.New("sim: some agent must wake at round 0")
 	ErrMaxRounds      = errors.New("sim: exceeded max rounds without all agents halting")
 )
-
-// Cumulative counters across all runs of the process, for throughput
-// reporting (cmd/benchharness -json).
-var (
-	totalSimulated atomic.Int64
-	totalStepped   atomic.Int64
-)
-
-// SimulatedRounds returns the process-wide totals of logical rounds simulated
-// and active rounds stepped (RunResult.SteppedRounds), accumulated over
-// every completed Run. The ratio is the measured win of the event-driven
-// clock's jumps; quiet rounds the engine fast-forwards through count as
-// stepped.
-func SimulatedRounds() (logical, stepped int64) {
-	return totalSimulated.Load(), totalStepped.Load()
-}
 
 // agentState is the engine-side state of one agent. The fields the round
 // loop reads in every processed round come first.
@@ -555,8 +538,6 @@ func run(sc Scenario) (res *RunResult, processed int, err error) {
 		}
 	}
 
-	totalSimulated.Add(int64(lastHalt))
-	totalStepped.Add(int64(steppedRounds))
 	res = &RunResult{Rounds: lastHalt, Agents: make([]AgentResult, n), SteppedRounds: steppedRounds, Moves: totalMoves}
 	for i := range states {
 		st := &states[i]

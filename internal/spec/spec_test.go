@@ -218,8 +218,8 @@ func TestBaselineSpecMatchesCentralizedRun(t *testing.T) {
 	}
 }
 
-// TestCompiledScenarioIsReRunnable guards the contract benchharness and
-// batch replays rely on: one compiled scenario can be run repeatedly with
+// TestCompiledScenarioIsReRunnable guards the contract batch replays
+// rely on: one compiled scenario can be run repeatedly with
 // identical results (programs are stateless closures).
 func TestCompiledScenarioIsReRunnable(t *testing.T) {
 	sc, err := ScenarioSpec{

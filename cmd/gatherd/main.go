@@ -19,8 +19,8 @@
 // backends pull and steal from a shared queue, and the per-chunk summaries
 // merge — in fixed chunk order — into one total that is bit-identical to a
 // single-node run (internal/cluster, internal/sched, DESIGN.md §10, §12).
-// -chunks sets the target chunk count per worker (default 8); -chunks 1
-// restores the original static one-shard-per-worker split. A coordinator's
+// -chunks sets the target chunk count per worker (default 8), balanced by
+// predicted cost at every setting, -chunks 1 included. A coordinator's
 // GET /metrics reports chunks dispatched, stolen and retried per worker
 // under "scheduler", and GET /v1/fleet serves per-worker health, load and
 // live sweep progress. Every other endpoint — single runs, raw-row sweeps,
@@ -109,7 +109,7 @@ func run() error {
 		backlog       = flag.Int("backlog", 1024, "maximum queued (not yet running) jobs")
 		maxSweepSpecs = flag.Int("max-sweep-specs", 10000, "reject sweeps expanding to more specs than this")
 		workers       = flag.String("workers", "", "comma-separated gatherd worker base URLs; summary-only sweeps are sharded across them")
-		chunks        = flag.Int("chunks", 0, "with -workers: target chunks per worker for the sweep scheduler (0 = default 8; 1 = one static shard per worker)")
+		chunks        = flag.Int("chunks", 0, "with -workers: target chunks per worker for the sweep scheduler (0 = default 8)")
 		journalDir    = flag.String("journal", "", "directory for the crash-safe sweep journal; empty disables persistence")
 		logLevel      = flag.String("log-level", "info", "log level: debug|info|warn|error")
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060); empty disables")
@@ -149,14 +149,10 @@ func run() error {
 			return fmt.Errorf("-workers: no worker URLs given")
 		}
 		coord = cluster.NewCoordinator(ws...)
-		switch {
-		case *chunks < 0:
+		if *chunks < 0 {
 			return fmt.Errorf("-chunks: %d is not a chunk count", *chunks)
-		case *chunks == 1:
-			coord.SetPlanner(sched.Planner{Static: true})
-		case *chunks > 1:
-			coord.SetPlanner(sched.Planner{ChunksPerWorker: *chunks})
 		}
+		coord.SetPlanner(sched.Planner{ChunksPerWorker: *chunks})
 		coord.SetLogger(olog.New(os.Stderr, level, "cluster"))
 		coord.SetObs(svc.Registry(), svc.Tracer())
 		svc.SetDistributor(coord.SummarizeSpecs)

@@ -66,7 +66,7 @@ func (f *ImpureFact) String() string { return "impure: " + f.Reason }
 // spec/summary encoding (content addresses), and summary merging
 // (order-independent fleet folds). Methods are "Recv.Name".
 var seedRoots = map[string][]string{
-	"nochatter/internal/sched":   {"DefaultCost", "Planner.Plan", "Planner.PlanSpecs", "StaticPlan"},
+	"nochatter/internal/sched":   {"DefaultCost", "Planner.Plan", "Planner.PlanSpecs"},
 	"nochatter/internal/service": {"CanonicalSpec", "SpecKey", "SweepSummaryKey"},
 	"nochatter/internal/agg":     {"KeyOf", "Summary.Merge", "Summary.CanonicalJSON"},
 }

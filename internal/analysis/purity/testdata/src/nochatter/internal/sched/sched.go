@@ -1,6 +1,6 @@
 // Package sched mirrors the real planner package's import path, so the
-// purity seed roots (Planner.Plan, Planner.PlanSpecs, DefaultCost,
-// StaticPlan) apply to it.
+// purity seed roots (Planner.Plan, Planner.PlanSpecs, DefaultCost) apply
+// to it.
 package sched
 
 import "nochatter/internal/sched/costdep"
@@ -43,7 +43,8 @@ func (p Planner) PlanSpecs(n int, workers int) []Chunk {
 	return StaticPlan(len(costs), workers)
 }
 
-// StaticPlan is a seed root that is genuinely pure: no finding.
+// StaticPlan is not a seed root, but PlanSpecs calls it; it is genuinely
+// pure, so the seed root stays clean: no finding.
 func StaticPlan(n, workers int) []Chunk {
 	per := (n + workers - 1) / workers
 	var out []Chunk

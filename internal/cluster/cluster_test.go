@@ -90,37 +90,6 @@ func fastWorker(base string) *Worker {
 	return NewWorker(base, WithRetries(1, time.Millisecond))
 }
 
-// TestShardBounds pins the sharding function: a contiguous, exhaustive,
-// non-overlapping partition for any (n, shards), shards differing in size
-// by at most one, trailing shards empty when n < shards.
-func TestShardBounds(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 7, 100, 101, 108} {
-		for _, shards := range []int{1, 2, 3, 4, 5, 9} {
-			next, minSz, maxSz := 0, n, 0
-			for i := 0; i < shards; i++ {
-				lo, hi := ShardBounds(n, shards, i)
-				if lo != next || hi < lo {
-					t.Fatalf("n=%d shards=%d: shard %d is [%d,%d), want to start at %d", n, shards, i, lo, hi, next)
-				}
-				next = hi
-				sz := hi - lo
-				if sz < minSz {
-					minSz = sz
-				}
-				if sz > maxSz {
-					maxSz = sz
-				}
-			}
-			if next != n {
-				t.Fatalf("n=%d shards=%d: partition covers [0,%d), want [0,%d)", n, shards, next, n)
-			}
-			if n >= shards && maxSz-minSz > 1 {
-				t.Fatalf("n=%d shards=%d: shard sizes range %d..%d, want spread <= 1", n, shards, minSz, maxSz)
-			}
-		}
-	}
-}
-
 // TestClusterMatchesLocal is the differential acceptance test: the same
 // ≥100-spec sweep summarized by a coordinator over 2 and over 3 workers is
 // bit-identical (CanonicalJSON) to the single-process summary.
@@ -425,25 +394,25 @@ func TestClusterStragglerSteals(t *testing.T) {
 	}
 }
 
-// TestClusterStaticPlannerMatchesLocal pins the escape hatch: the
-// degenerate one-chunk-per-worker plan (gatherd -chunks 1) still merges to
+// TestClusterOneChunkPerWorkerMatchesLocal pins the coarsest plan
+// (gatherd -chunks 1): one cost-balanced chunk per worker still merges to
 // the local fold.
-func TestClusterStaticPlannerMatchesLocal(t *testing.T) {
+func TestClusterOneChunkPerWorkerMatchesLocal(t *testing.T) {
 	specs := testSweep(t)[:12]
 	want := localCanonical(t, specs)
 	ws := []*Worker{fastWorker(newBackend(t)), fastWorker(newBackend(t))}
 	coord := NewCoordinator(ws...)
-	coord.SetPlanner(sched.Planner{Static: true})
+	coord.SetPlanner(sched.Planner{ChunksPerWorker: 1})
 	sum, err := coord.SummarizeSpecs(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := mustCanonical(t, sum); got != want {
-		t.Error("static-plan run differs from the single-process summary")
+		t.Error("one-chunk-per-worker run differs from the single-process summary")
 	}
 	stats := coord.Stats()
 	if stats.Chunks != 2 {
-		t.Errorf("static plan over 2 workers dispatched %d chunks, want 2", stats.Chunks)
+		t.Errorf("one chunk per worker over 2 workers dispatched %d chunks, want 2", stats.Chunks)
 	}
 }
 

@@ -32,20 +32,6 @@ type ChunkStore interface {
 	PutPlan(job string, keys []string)
 }
 
-// ShardBounds returns the half-open spec range [lo, hi) of shard i when n
-// specs are partitioned contiguously over the given shard count. It is a
-// pure function — re-running the same sweep against the same fleet size
-// shards identically, and spec j always lands in the shard i satisfying
-// i·n/shards <= j < (i+1)·n/shards. Shards differ in size by at most one
-// spec; when n < shards the trailing shards are empty.
-//
-// Since the scheduler rework this is the degenerate one-chunk-per-worker
-// plan (sched.StaticBounds); it remains the wire-stable spec-to-shard
-// function other tooling may rely on.
-func ShardBounds(n, shards, i int) (lo, hi int) {
-	return sched.StaticBounds(n, shards, i)
-}
-
 // Coordinator fans a sweep out over a fleet of gatherd workers. The spec
 // list is partitioned by a deterministic, cost-weighted chunk planner
 // (internal/sched) into many more chunks than workers; each worker pulls
@@ -181,9 +167,8 @@ func (c *Coordinator) crashpoint(d *sched.Dispatcher, phase obs.Phase, chunk int
 func (c *Coordinator) Workers() int { return len(c.workers) }
 
 // SetPlanner replaces the chunk planner for subsequent sweeps. The zero
-// Planner restores the default; Planner{Static: true} restores the
-// pre-scheduler one-shard-per-worker behavior. Not safe to call
-// concurrently with a running sweep.
+// Planner restores the default. Not safe to call concurrently with a
+// running sweep.
 func (c *Coordinator) SetPlanner(p sched.Planner) { c.planner = p }
 
 // Stats returns the scheduler counters accumulated across every sweep the

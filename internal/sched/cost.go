@@ -2,13 +2,6 @@ package sched
 
 import "nochatter/internal/spec"
 
-// CostModel predicts the relative execution cost of one spec, in units of
-// engine-stepped rounds. It must be a pure function of the spec — the
-// plan derived from it has to come out identical on every process that
-// computes it. Absolute scale is irrelevant (the planner only balances
-// ratios); what matters is tracking how cost moves with the spec axes.
-type CostModel func(sp spec.ScenarioSpec) int64
-
 // Cost-model calibration. The engine reports, for every run, both the
 // logical rounds simulated and its active rounds, the stepped rounds (the
 // rest are fast-forwarded; DESIGN.md §2), and per-spec wall time tracks
@@ -61,7 +54,12 @@ const specCostFloor = 1500
 // overflow.
 const maxSpecCost = int64(1) << 40
 
-// DefaultCost is the calibrated cost model (see the table above).
+// DefaultCost predicts the relative execution cost of one spec, in units
+// of engine-stepped rounds, from the calibration table above. It is a pure
+// function of the spec — the plan derived from it has to come out
+// identical on every process that computes it. Absolute scale is
+// irrelevant (the planner only balances ratios); what matters is tracking
+// how cost moves with the spec axes.
 func DefaultCost(sp spec.ScenarioSpec) int64 {
 	n := int64(sp.Graph.N)
 	if sp.Graph.Family == "hypercube" {
@@ -90,8 +88,8 @@ func DefaultCost(sp spec.ScenarioSpec) int64 {
 	return clampCost(cost)
 }
 
-// clampCost forces a modeled cost into [1, maxSpecCost]: the planner's
-// invariants (non-empty chunks, overflow-free budgets) hold for any model.
+// clampCost forces a cost into [1, maxSpecCost]: the planner's invariants
+// (non-empty chunks, overflow-free budgets) hold for any cost list.
 func clampCost(c int64) int64 {
 	if c < 1 {
 		return 1

@@ -11,16 +11,16 @@ import (
 // tile [0, n), none is empty, and re-planning the same inputs yields a
 // bit-identical plan.
 func FuzzPlan(f *testing.F) {
-	f.Add(uint64(1), 10, 2, 4, 0)
-	f.Add(uint64(42), 1, 1, 1, 0)
-	f.Add(uint64(7), 200, 5, 8, 3)
-	f.Add(uint64(99), 33, 16, 1, 1)
-	f.Add(uint64(3), 64, 3, 100, 0)
-	f.Fuzz(func(t *testing.T, seed uint64, n, workers, cpw, maxSpecs int) {
+	f.Add(uint64(1), 10, 2, 4)
+	f.Add(uint64(42), 1, 1, 1)
+	f.Add(uint64(7), 200, 5, 8)
+	f.Add(uint64(99), 33, 16, 1)
+	f.Add(uint64(3), 64, 3, 100)
+	f.Fuzz(func(t *testing.T, seed uint64, n, workers, cpw int) {
 		if n < 0 || n > 2000 {
 			t.Skip()
 		}
-		if workers < -2 || workers > 64 || cpw < -2 || cpw > 64 || maxSpecs < -2 || maxSpecs > 64 {
+		if workers < -2 || workers > 64 || cpw < -2 || cpw > 64 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewPCG(seed, 0xdecade))
@@ -37,7 +37,7 @@ func FuzzPlan(f *testing.F) {
 				costs[i] = int64(1) << uint(rng.IntN(45))
 			}
 		}
-		p := Planner{ChunksPerWorker: cpw, MaxChunkSpecs: maxSpecs}
+		p := Planner{ChunksPerWorker: cpw}
 		chunks := p.Plan(costs, workers)
 		checkTiling(t, chunks, costs)
 		if again := p.Plan(costs, workers); !reflect.DeepEqual(chunks, again) {

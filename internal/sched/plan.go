@@ -4,22 +4,12 @@ import "nochatter/internal/spec"
 
 // Planner turns an expanded spec list into a deterministic chunk plan.
 // The zero value is ready to use: DefaultChunksPerWorker chunks per
-// worker, costs from DefaultCost, no per-chunk spec cap.
+// worker, costs from DefaultCost.
 type Planner struct {
 	// ChunksPerWorker is the target chunk count per worker (≤0 selects
 	// DefaultChunksPerWorker). More chunks steal at a finer grain; fewer
 	// amortize submission overhead over more specs.
 	ChunksPerWorker int
-	// MaxChunkSpecs, when positive, caps the specs in one chunk — a floor
-	// on granularity for sweeps of very cheap specs.
-	MaxChunkSpecs int
-	// Static selects the degenerate plan: one count-balanced chunk per
-	// worker (StaticPlan), ignoring the cost model — the pre-chunking
-	// cluster behavior, kept for comparison and as a -chunks 1 escape
-	// hatch.
-	Static bool
-	// Model predicts per-spec cost (nil selects DefaultCost).
-	Model CostModel
 }
 
 // PlanSpecs plans the spec list for the given worker count. The plan is a
@@ -27,17 +17,9 @@ type Planner struct {
 // bit-identical plan, on any process — the property the property/fuzz
 // tests pin down.
 func (p Planner) PlanSpecs(specs []spec.ScenarioSpec, workers int) []Chunk {
-	if p.Static {
-		return StaticPlan(len(specs), workers)
-	}
-	model := p.Model
-	if model == nil {
-		model = DefaultCost
-	}
 	costs := make([]int64, len(specs))
 	for i, sp := range specs {
-		//lint:allow purity the CostModel contract (cost.go) requires models to be pure functions of the spec; callers supplying an impure model break the plan's determinism on their own head
-		costs[i] = model(sp)
+		costs[i] = DefaultCost(sp)
 	}
 	return p.Plan(costs, workers)
 }
@@ -55,7 +37,7 @@ func (p Planner) PlanSpecs(specs []spec.ScenarioSpec, workers int) []Chunk {
 // [0, n) in order with no overlap; every chunk is non-empty; Index is the
 // position in the returned slice; Cost is the sum of the chunk's clamped
 // spec costs; the chunk count is at most max(1, workers×ChunksPerWorker)
-// plus whatever MaxChunkSpecs forces, and never exceeds n.
+// and never exceeds n.
 func (p Planner) Plan(costs []int64, workers int) []Chunk {
 	n := len(costs)
 	if n == 0 {
@@ -87,8 +69,7 @@ func (p Planner) Plan(costs []int64, workers int) []Chunk {
 		budget := (rem + int64(remChunks) - 1) / int64(remChunks) // ceil of the fair share
 		lo, acc := i, clampCost(costs[i])
 		i++
-		for i < n && acc+clampCost(costs[i]) <= budget &&
-			(p.MaxChunkSpecs <= 0 || i-lo < p.MaxChunkSpecs) {
+		for i < n && acc+clampCost(costs[i]) <= budget {
 			acc += clampCost(costs[i])
 			i++
 		}

@@ -127,18 +127,6 @@ func TestPlanDeterministicFixedPoint(t *testing.T) {
 	}
 }
 
-func TestPlanMaxChunkSpecs(t *testing.T) {
-	costs := costPattern("uniform", 40)
-	p := Planner{ChunksPerWorker: 1, MaxChunkSpecs: 3}
-	chunks := p.Plan(costs, 2)
-	checkTiling(t, chunks, costs)
-	for _, c := range chunks {
-		if c.Specs() > 3 {
-			t.Fatalf("chunk %d spans %d specs, cap is 3", c.Index, c.Specs())
-		}
-	}
-}
-
 // TestPlanMonsterIsolated checks the re-balancing property: a spec worth
 // many fair shares occupies a chunk alone, and the cheap specs around it
 // still spread over the remaining chunks.
@@ -172,54 +160,32 @@ func TestPlanBalance(t *testing.T) {
 	}
 }
 
+// TestStaticBounds pins the home-queue partition: contiguous, exhaustive
+// and non-overlapping for any (n, shards), with shard sizes differing by
+// at most one.
 func TestStaticBounds(t *testing.T) {
+	ns := []int{100, 101, 108}
 	for n := 0; n <= 25; n++ {
-		for shards := 1; shards <= 6; shards++ {
-			next := 0
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
+		for shards := 1; shards <= 9; shards++ {
+			next, minSz, maxSz := 0, n, 0
 			for i := 0; i < shards; i++ {
 				lo, hi := StaticBounds(n, shards, i)
 				if lo != next || hi < lo {
 					t.Fatalf("n=%d shards=%d i=%d: bounds [%d,%d), want lo=%d", n, shards, i, lo, hi, next)
 				}
-				if hi-lo > n/shards+1 {
-					t.Fatalf("n=%d shards=%d i=%d: shard size %d unbalanced", n, shards, i, hi-lo)
-				}
+				minSz, maxSz = min(minSz, hi-lo), max(maxSz, hi-lo)
 				next = hi
 			}
 			if next != n {
 				t.Fatalf("n=%d shards=%d: shards cover [0,%d)", n, shards, next)
 			}
-		}
-	}
-}
-
-func TestStaticPlan(t *testing.T) {
-	for n := 0; n <= 25; n++ {
-		for workers := 1; workers <= 6; workers++ {
-			chunks := StaticPlan(n, workers)
-			costs := make([]int64, n)
-			for i := range costs {
-				costs[i] = 1
-			}
-			checkTiling(t, chunks, costs)
-			want := workers
-			if n < workers {
-				want = n
-			}
-			if n > 0 && len(chunks) != want {
-				t.Fatalf("n=%d workers=%d: %d chunks, want %d", n, workers, len(chunks), want)
+			if maxSz-minSz > 1 {
+				t.Fatalf("n=%d shards=%d: shard sizes range %d..%d, want spread <= 1", n, shards, minSz, maxSz)
 			}
 		}
-	}
-}
-
-// TestPlanSpecsStaticMatchesStaticPlan pins the -chunks 1 escape hatch.
-func TestPlanSpecsStaticMatchesStaticPlan(t *testing.T) {
-	specs := testSpecs(13)
-	got := Planner{Static: true}.PlanSpecs(specs, 3)
-	want := StaticPlan(13, 3)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("static PlanSpecs = %v, want %v", got, want)
 	}
 }
 

@@ -49,30 +49,10 @@ type Chunk struct {
 func (c Chunk) Specs() int { return c.Hi - c.Lo }
 
 // StaticBounds returns the half-open spec range [lo, hi) of shard i when n
-// specs are partitioned contiguously over the given shard count: the
-// degenerate one-chunk-per-worker plan internal/cluster shipped first
-// (cluster.ShardBounds delegates here). It is a pure function; shards
-// differ in size by at most one spec, and when n < shards the trailing
-// shards are empty.
+// items are partitioned contiguously over the given shard count. The
+// dispatcher uses it to assign chunks to home queues. It is a pure
+// function; shards differ in size by at most one item, so when n < shards
+// some shards are empty.
 func StaticBounds(n, shards, i int) (lo, hi int) {
 	return i * n / shards, (i + 1) * n / shards
-}
-
-// StaticPlan is the degenerate plan: one count-balanced chunk per worker,
-// boundaries from StaticBounds, costs the spec counts. Empty shards
-// (n < workers) are skipped, so every returned chunk is non-empty and
-// Index still numbers the chunks contiguously.
-func StaticPlan(n, workers int) []Chunk {
-	if n <= 0 || workers < 1 {
-		return nil
-	}
-	chunks := make([]Chunk, 0, workers)
-	for i := 0; i < workers; i++ {
-		lo, hi := StaticBounds(n, workers, i)
-		if lo == hi {
-			continue
-		}
-		chunks = append(chunks, Chunk{Index: len(chunks), Lo: lo, Hi: hi, Cost: int64(hi - lo)})
-	}
-	return chunks
 }

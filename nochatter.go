@@ -352,18 +352,13 @@ type (
 	ClusterWorkerOption = cluster.WorkerOption
 )
 
-// Cluster constructors and the sharding function, re-exported from
+// Cluster constructors and worker options, re-exported from
 // internal/cluster.
 var (
 	// NewClusterCoordinator returns a coordinator over the given workers.
 	NewClusterCoordinator = cluster.NewCoordinator
 	// NewClusterWorker returns a client for the gatherd at a base URL.
 	NewClusterWorker = cluster.NewWorker
-	// ClusterShardBounds is the deterministic static sharding function: the
-	// half-open spec range [lo, hi) of shard i when n specs are partitioned
-	// contiguously over a worker count — the degenerate one-chunk-per-worker
-	// plan (SchedStaticBounds is the same function).
-	ClusterShardBounds = cluster.ShardBounds
 	// WithClusterRetries sets a worker's retry budget and backoff base.
 	WithClusterRetries = cluster.WithRetries
 	// WithClusterHTTPClient sets a worker's HTTP client.
@@ -383,8 +378,6 @@ type (
 	// SchedPlanner partitions expanded sweeps into cost-balanced chunks;
 	// the zero value is the coordinator's default configuration.
 	SchedPlanner = sched.Planner
-	// SchedCostModel predicts one spec's relative execution cost.
-	SchedCostModel = sched.CostModel
 	// SchedWorkerStats counts one worker's share of dispatched, stolen,
 	// retried and failed chunks.
 	SchedWorkerStats = sched.WorkerStats
@@ -398,8 +391,6 @@ var (
 	// SchedDefaultCost is the calibrated per-spec cost model (engine-stepped
 	// rounds as a function of graph family, size and team size).
 	SchedDefaultCost = sched.DefaultCost
-	// SchedStaticBounds is the degenerate one-chunk-per-worker partition.
-	SchedStaticBounds = sched.StaticBounds
 )
 
 // Service construction and spec hashing, re-exported from internal/service.

@@ -1,3 +1,24 @@
+// Package agg computes streaming, merge-able summaries of simulation
+// sweeps: counts, means, minima/maxima and histogram-derived percentiles
+// (p50/p90/p99) of gather rounds, engine-stepped rounds, total moves and
+// wall time, grouped by the spec axes a sweep varies (graph family, size,
+// team count, algorithm).
+//
+// The design goal is that a million-scenario sweep never materializes a
+// million results to learn one percentile. Every reducer folds one
+// sim.RunResult at a time in O(1) memory, and two summaries merge
+// associatively and commutatively — all state is integer counters and
+// hist.Dist distributions (sums, min/max and fixed-boundary histogram
+// buckets) — so each worker of a parallel runner folds its own runs
+// locally (sim.FoldBatch) and the merged total is bit-identical regardless
+// of parallelism degree or completion order. The same determinism makes a
+// summary a cacheable artifact: the service layer stores it under a key
+// derived from the sweep's specs and serves repeats without refolding
+// (GET /v1/jobs/{id}/summary). See DESIGN.md §9 for the reducer laws.
+//
+// Wall time is the one non-deterministic metric: it is collected and
+// reported like the others, but Summary.CanonicalJSON — the encoding the
+// determinism property tests compare — excludes it.
 package agg
 
 import (
@@ -7,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"nochatter/internal/hist"
 	"nochatter/internal/sim"
 	"nochatter/internal/spec"
 )
@@ -71,15 +93,15 @@ type Cell struct {
 
 	// Rounds is the distribution of RunResult.Rounds: the global round of
 	// the last halt — the paper's gathering-time measure.
-	Rounds Dist `json:"rounds"`
+	Rounds hist.Dist `json:"rounds"`
 	// Stepped is the distribution of RunResult.SteppedRounds: the run's
 	// active rounds (the rest were fast-forwarded).
-	Stepped Dist `json:"stepped_rounds"`
+	Stepped hist.Dist `json:"stepped_rounds"`
 	// Moves is the distribution of RunResult.Moves: total edge traversals.
-	Moves Dist `json:"moves"`
+	Moves hist.Dist `json:"moves"`
 	// Wall is the distribution of per-run wall time in nanoseconds. It is
 	// the one non-deterministic block; CanonicalJSON excludes it.
-	Wall Dist `json:"wall_ns"`
+	Wall hist.Dist `json:"wall_ns"`
 }
 
 // observe folds one run outcome into the cell.
@@ -223,10 +245,10 @@ func (s *Summary) UnmarshalJSON(data []byte) error {
 // across recomputation from raw results) is guaranteed and tested.
 func (s *Summary) CanonicalJSON() ([]byte, error) {
 	c := &Summary{Total: s.Total, groups: make(map[Key]*Cell, len(s.groups))}
-	c.Total.Wall = Dist{}
+	c.Total.Wall = hist.Dist{}
 	for k, cell := range s.groups {
 		cp := *cell
-		cp.Wall = Dist{}
+		cp.Wall = hist.Dist{}
 		c.groups[k] = &cp
 	}
 	return json.Marshal(c)

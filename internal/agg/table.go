@@ -1,6 +1,8 @@
 package agg
 
 import (
+	"math"
+
 	"nochatter/internal/trace"
 )
 
@@ -29,3 +31,7 @@ func (s *Summary) Table(title string) *trace.Table {
 	row("TOTAL", "-", "-", "-", &s.Total)
 	return t
 }
+
+// round3 truncates a float to three decimals for table rendering (not part
+// of any canonical encoding).
+func round3(f float64) float64 { return math.Round(f*1000) / 1000 }

@@ -14,6 +14,7 @@ import "strings"
 var criticalPrefixes = []string{
 	"nochatter/internal/sim",
 	"nochatter/internal/agg",
+	"nochatter/internal/hist",
 	"nochatter/internal/spec",
 	"nochatter/internal/graph",
 	"nochatter/internal/cluster",
@@ -28,6 +29,7 @@ var wirePrefixes = []string{
 	"nochatter/internal/service",
 	"nochatter/internal/spec",
 	"nochatter/internal/agg",
+	"nochatter/internal/hist",
 	"nochatter/internal/cluster",
 	"nochatter/internal/sim",
 	"nochatter/internal/sched",

@@ -1,30 +1,20 @@
-// Package agg computes streaming, merge-able summaries of simulation
-// sweeps: counts, means, minima/maxima and histogram-derived percentiles
-// (p50/p90/p99) of gather rounds, engine-stepped rounds, total moves and
-// wall time, grouped by the spec axes a sweep varies (graph family, size,
-// team count, algorithm).
+// Package hist is the repository's one streaming distribution type: Dist
+// folds non-negative int64 observations into a count, a saturating sum,
+// min, max and a fixed-boundary log2 histogram, and estimates quantiles
+// from it. internal/agg keeps one Dist per sweep-summary metric;
+// internal/obs wraps one in a mutex for its latency histograms.
 //
-// The design goal is that a million-scenario sweep never materializes a
-// million results to learn one percentile. Every reducer folds one
-// sim.RunResult at a time in O(1) memory, and two summaries merge
-// associatively and commutatively — all state is integer counters, sums,
-// min/max and fixed-boundary histogram buckets — so each worker of a
-// parallel runner folds its own runs locally (sim.FoldBatch) and the merged
-// total is bit-identical regardless of parallelism degree or completion
-// order. The same determinism makes a summary a cacheable artifact: the
-// service layer stores it under a key derived from the sweep's specs and
-// serves repeats without refolding (GET /v1/jobs/{id}/summary).
+// Bucket i counts values v with bits.Len64(v) == i, i.e. v in
+// [2^(i-1), 2^i), so histograms of any two runs merge by element-wise
+// addition and a quantile is a deterministic interpolation inside one
+// bucket. All state is integral, and Observe and Merge commute and
+// associate, so any permutation of the same observations, folded by any
+// number of independent reducers, gives the same Dist bit for bit. See
+// DESIGN.md §9 for the reducer laws and the bucket scheme.
 //
-// Histograms use fixed logarithmic boundaries (bucket i counts values v
-// with bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i)), so histograms of any
-// two runs are always mergeable by element-wise addition and a quantile is
-// a deterministic interpolation inside one bucket. See DESIGN.md §9 for the
-// reducer laws and the bucket scheme.
-//
-// Wall time is the one non-deterministic metric: it is collected and
-// reported like the others, but Summary.CanonicalJSON — the encoding the
-// determinism property tests compare — excludes it.
-package agg
+// The package imports only the standard library, so every layer can use
+// it without an import cycle.
+package hist
 
 import (
 	"encoding/json"
@@ -53,7 +43,7 @@ type Dist struct {
 }
 
 // Observe folds one value. Negative values are clamped to 0: every metric
-// the package summarizes (rounds, moves, durations) is non-negative by
+// folded into a Dist (rounds, moves, durations) is non-negative by
 // construction, so a negative value is a caller bug rather than data.
 //
 // Sum saturates at MaxInt64 instead of wrapping: the state must stay
@@ -223,35 +213,31 @@ func (d *Dist) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	if w.Count < 0 {
-		return fmt.Errorf("agg: histogram count %d is negative", w.Count)
+		return fmt.Errorf("hist: histogram count %d is negative", w.Count)
 	}
 	if w.Sum < 0 {
-		return fmt.Errorf("agg: histogram sum %d is negative", w.Sum)
+		return fmt.Errorf("hist: histogram sum %d is negative", w.Sum)
 	}
 	// Observe clamps values to >= 0, so real state always has
 	// 0 <= Min <= Max when non-empty; anything else would degenerate the
 	// bucket-bound clamps and poison merges with bogus extremes.
 	if w.Count > 0 && (w.Min < 0 || w.Max < w.Min) {
-		return fmt.Errorf("agg: histogram range [%d, %d] is not a non-negative interval", w.Min, w.Max)
+		return fmt.Errorf("hist: histogram range [%d, %d] is not a non-negative interval", w.Min, w.Max)
 	}
 	if len(w.Buckets) > nBuckets {
-		return fmt.Errorf("agg: histogram has %d buckets, limit %d", len(w.Buckets), nBuckets)
+		return fmt.Errorf("hist: histogram has %d buckets, limit %d", len(w.Buckets), nBuckets)
 	}
 	var total int64
 	for i, c := range w.Buckets {
 		if c < 0 {
-			return fmt.Errorf("agg: histogram bucket %d is negative (%d)", i, c)
+			return fmt.Errorf("hist: histogram bucket %d is negative (%d)", i, c)
 		}
 		total += c
 	}
 	if total != w.Count {
-		return fmt.Errorf("agg: histogram buckets sum to %d, count says %d", total, w.Count)
+		return fmt.Errorf("hist: histogram buckets sum to %d, count says %d", total, w.Count)
 	}
 	*d = Dist{Count: w.Count, Sum: w.Sum, Min: w.Min, Max: w.Max}
 	copy(d.buckets[:], w.Buckets)
 	return nil
 }
-
-// round3 truncates a float to three decimals for table rendering (not part
-// of any canonical encoding).
-func round3(f float64) float64 { return math.Round(f*1000) / 1000 }

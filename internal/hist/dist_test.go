@@ -1,4 +1,4 @@
-package agg
+package hist
 
 import (
 	"encoding/json"

@@ -1,17 +1,15 @@
 // Package obs is the repository's observability spine: a typed metrics
 // registry (counters, gauges, log2-bucket latency histograms) with a
 // deterministic snapshot-to-JSON form, and a ring-buffered span tracer for
-// job and chunk lifecycles (trace.go). The service, scheduler, cluster and
-// runner layers feed it; gatherd serves its snapshots on /metrics,
+// job and chunk lifecycles (trace.go). The service, scheduler and cluster
+// layers feed it; gatherd serves its snapshots on /metrics,
 // /v1/fleet and /v1/jobs/{id}/trace.
 //
 // Design constraints, in order:
 //
 //   - Near-zero cost when disabled. Every hot-path hook is a nil check:
 //     a nil *Tracer no-ops Record, and layers that take an optional
-//     *Registry skip all observation when it is nil. BENCH_PR8.json pins
-//     the enabled-vs-disabled overhead under 2% on the GatherRing16
-//     benchmark.
+//     *Registry skip all observation when it is nil.
 //
 //   - Strictly reporting-only. Nothing in this package may feed a content
 //     address, a canonical encoding or a cluster merge: wall-clock reads
@@ -19,12 +17,11 @@
 //     package set, DESIGN.md §11) so instrumented packages never touch
 //     time themselves. DESIGN.md §13 states the exclusion argument.
 //
-//   - Stdlib only, and a leaf: obs imports nothing from this repository,
-//     so every layer — including internal/sim, which internal/agg imports —
-//     can depend on it without cycles. The histogram reuses agg.Dist's
-//     bucket scheme (bucket i counts values v with bits.Len64(v) == i) by
-//     construction rather than by import; the property test in
-//     registry_test.go pins the two bucketings to each other.
+//   - At the bottom of the import graph: besides the standard library, obs
+//     imports only internal/hist, a standard-library-only leaf, so every
+//     layer can depend on it without cycles. A Histogram is a hist.Dist
+//     behind a mutex — the same type sweep summaries use (internal/agg) —
+//     so both bucket, merge and estimate quantiles with one piece of code.
 //
 //   - No lock is ever held across a channel operation or a caller-supplied
 //     callback. Snapshot collects metric handles under the registry lock,
@@ -36,11 +33,11 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"math"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"nochatter/internal/hist"
 )
 
 // Counter is a monotonically increasing metric. The zero value is ready to
@@ -99,58 +96,26 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// histBuckets is the number of histogram buckets: bits.Len64 of a
-// non-negative int64 ranges over 0..63 — the exact bucket scheme of
-// agg.Dist, so obs histograms and sweep-summary histograms bucket any
-// value identically (see the cross-check property test).
-const histBuckets = 64
-
 // Histogram is a concurrency-safe streaming distribution of non-negative
-// int64 observations — typically latencies in microseconds — with the same
-// state and laws as agg.Dist: count, saturating sum, min, max and a fixed
-// log2 histogram (bucket i counts values v with bits.Len64(v) == i).
-// Observe and Merge commute and associate, so histograms folded on any
-// number of goroutines and merged in any order agree bit for bit. The zero
-// value is empty and ready to use.
+// int64 observations — typically latencies in microseconds: a hist.Dist
+// behind a mutex, with its state, laws and JSON form. Observe and Merge
+// commute and associate, so histograms folded on any number of goroutines
+// and merged in any order agree bit for bit. The zero value is empty and
+// ready to use; a nil *Histogram is a no-op sink.
 type Histogram struct {
-	mu      sync.Mutex
-	count   int64
-	sum     int64
-	min     int64
-	max     int64
-	buckets [histBuckets]int64
+	mu sync.Mutex
+	d  hist.Dist
 }
 
-// Observe folds one value. Negative values clamp to 0 (latencies and
-// counts are non-negative by construction); the sum saturates at MaxInt64,
-// which keeps merging associative and commutative (see agg.Dist.Observe
-// for the argument — the two implementations must stay in lockstep).
+// Observe folds one value (see hist.Dist.Observe: negative values clamp
+// to 0, the sum saturates at MaxInt64).
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	if v < 0 {
-		v = 0
-	}
 	h.mu.Lock()
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum = addSat(h.sum, v)
-	h.buckets[bits.Len64(uint64(v))]++
+	h.d.Observe(v)
 	h.mu.Unlock()
-}
-
-// addSat adds non-negative a and b, saturating at MaxInt64.
-func addSat(a, b int64) int64 {
-	if a > math.MaxInt64-b {
-		return math.MaxInt64
-	}
-	return a + b
 }
 
 // Merge folds o into h. Merging is associative and commutative; merging an
@@ -159,117 +124,22 @@ func (h *Histogram) Merge(o *Histogram) {
 	if h == nil || o == nil {
 		return
 	}
-	os := o.Snapshot()
+	od := o.Snapshot()
+	h.mu.Lock()
+	h.d.Merge(od)
+	h.mu.Unlock()
+}
+
+// Snapshot returns a consistent copy of the histogram's state; it marshals
+// with its derived mean and quantiles (hist.Dist.MarshalJSON). A nil
+// histogram snapshots as empty.
+func (h *Histogram) Snapshot() hist.Dist {
+	if h == nil {
+		return hist.Dist{}
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if os.Count == 0 {
-		return
-	}
-	if h.count == 0 || os.Min < h.min {
-		h.min = os.Min
-	}
-	if h.count == 0 || os.Max > h.max {
-		h.max = os.Max
-	}
-	h.count += os.Count
-	h.sum = addSat(h.sum, os.Sum)
-	for i, c := range os.Buckets {
-		h.buckets[i] += c
-	}
-}
-
-// HistogramSnapshot is the wire form of a histogram: the mergeable state
-// plus quantiles derived from it at snapshot time. Buckets are trimmed to
-// the highest non-empty one, exactly as agg.Dist marshals.
-type HistogramSnapshot struct {
-	Count   int64   `json:"count"`
-	Sum     int64   `json:"sum"`
-	Min     int64   `json:"min"`
-	Max     int64   `json:"max"`
-	Mean    float64 `json:"mean"`
-	P50     float64 `json:"p50"`
-	P90     float64 `json:"p90"`
-	P99     float64 `json:"p99"`
-	Buckets []int64 `json:"buckets,omitempty"`
-}
-
-// Snapshot returns a consistent copy of the histogram's state with
-// derived quantiles. A nil histogram snapshots as empty.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	h.mu.Lock()
-	s := HistogramSnapshot{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	top := -1
-	for i, c := range h.buckets {
-		if c != 0 {
-			top = i
-		}
-	}
-	if top >= 0 {
-		s.Buckets = append([]int64(nil), h.buckets[:top+1]...)
-	}
-	h.mu.Unlock()
-	if s.Count > 0 {
-		s.Mean = float64(s.Sum) / float64(s.Count)
-	}
-	s.P50 = s.quantile(0.50)
-	s.P90 = s.quantile(0.90)
-	s.P99 = s.quantile(0.99)
-	return s
-}
-
-// Quantile estimates the q-quantile from the histogram with the identical
-// deterministic interpolation agg.Dist.Quantile uses: locate the bucket
-// holding rank q·(Count-1), clamp its bounds to [Min, Max], interpolate.
-func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().quantile(q) }
-
-func (s HistogramSnapshot) quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count-1)
-	var cum int64
-	for i, c := range s.Buckets {
-		if c == 0 {
-			continue
-		}
-		if rank < float64(cum+c) || cum+c == s.Count {
-			lo, hi := s.bucketBounds(i)
-			frac := (rank - float64(cum)) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-		cum += c
-	}
-	return float64(s.Max)
-}
-
-// bucketBounds mirrors agg.Dist.bucketBounds: the value range bucket i
-// covers, clamped to the observed [Min, Max].
-func (s HistogramSnapshot) bucketBounds(i int) (lo, hi float64) {
-	if i == 0 {
-		lo, hi = 0, 0
-	} else {
-		lo = float64(uint64(1) << (i - 1))
-		hi = float64(uint64(1)<<i - 1)
-	}
-	if m := float64(s.Min); lo < m {
-		lo = m
-	}
-	if m := float64(s.Max); hi > m {
-		hi = m
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
+	return h.d
 }
 
 // Registry is a named collection of metrics with a single JSON snapshot
@@ -389,7 +259,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // Snapshot returns every metric's current value keyed by name: counters
 // and gauges as int64, computed gauges as float64, histograms as
-// HistogramSnapshot, objects as whatever their function returns. The map
+// hist.Dist, objects as whatever their function returns. The map
 // marshals with encoding/json's sorted-key order, so two snapshots of
 // equal state encode identically.
 func (r *Registry) Snapshot() map[string]any {

@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
+
+	"nochatter/internal/hist"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -62,7 +64,7 @@ func TestRegistrySnapshotShape(t *testing.T) {
 	if _, ok := snap["absent"]; ok {
 		t.Fatalf("nil object should be omitted from the snapshot")
 	}
-	hs, ok := snap["lat_us"].(HistogramSnapshot)
+	hs, ok := snap["lat_us"].(hist.Dist)
 	if !ok || hs.Count != 1 || hs.Sum != 100 {
 		t.Fatalf("histogram snapshot wrong: %#v", snap["lat_us"])
 	}

@@ -167,6 +167,7 @@ import (
 	"nochatter/internal/gather"
 	"nochatter/internal/gossip"
 	"nochatter/internal/graph"
+	"nochatter/internal/hist"
 	"nochatter/internal/randomized"
 	"nochatter/internal/sched"
 	"nochatter/internal/service"
@@ -264,16 +265,17 @@ type (
 	SweepDef = spec.SweepDef
 )
 
-// Streaming sweep aggregation, re-exported from internal/agg: deterministic,
-// merge-able reducers over run results that summarize sweeps as they stream
-// instead of materializing them. See DESIGN.md §9.
+// Streaming sweep aggregation, re-exported from internal/agg and
+// internal/hist: deterministic, merge-able reducers over run results that
+// summarize sweeps as they stream instead of materializing them. See
+// DESIGN.md §9.
 type (
 	// Summary is the streaming reduction of a sweep: a total cell plus one
 	// cell per group key; folds with Observe, combines with Merge.
 	Summary = agg.Summary
 	// SummaryDist is one metric's streaming distribution: count, sum,
 	// min/max and a fixed log2-bucket histogram yielding p50/p90/p99.
-	SummaryDist = agg.Dist
+	SummaryDist = hist.Dist
 	// SummaryGroupKey identifies one group of a summary: the spec axes a
 	// sweep varies (graph family, size, team count, algorithm).
 	SummaryGroupKey = agg.Key

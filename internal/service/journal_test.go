@@ -227,3 +227,37 @@ func TestMetricsCompatAfterResume(t *testing.T) {
 		t.Errorf("sweep_jobs = %v after restore-only resume, want 0", sj)
 	}
 }
+
+// TestTerminalRecordPrecedesTerminalState pins the order of a job's end: a
+// job turns terminal only once its terminal record is in the journal, so a
+// client that sees a job done, or reads its summary, cannot see it re-run
+// after a crash. Jobs run one at a time on the local and the distributed
+// path; whenever a waiter sees a job terminal, the journal must already
+// hold both of its records, acceptance and terminal.
+func TestTerminalRecordPrecedesTerminalState(t *testing.T) {
+	svc, jnl := journaledService(t, t.TempDir(), Config{})
+	defer func() {
+		svc.Close()
+		_ = jnl.Close()
+	}()
+	svc.SetDistributor(func(_ context.Context, specs []spec.ScenarioSpec) (*agg.Summary, error) {
+		return agg.Summarize(sim.NewRunner(), specs)
+	})
+	specs := differentialSpecs()[:1]
+	for _, summaryOnly := range []bool{false, true} {
+		for i := 0; i < 200; i++ {
+			before := jnl.Records()
+			st, err := svc.submitSpecs(specs, summaryOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jb, ok := svc.queue.get(st.ID)
+			if !ok || !jb.waitTerminal(context.Background()) {
+				t.Fatalf("job %s never turned terminal", st.ID)
+			}
+			if got := jnl.Records() - before; got != 2 {
+				t.Fatalf("summaryOnly=%v job %d: the journal holds %d of its 2 records once the job is terminal", summaryOnly, i, got)
+			}
+		}
+	}
+}

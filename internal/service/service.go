@@ -267,7 +267,10 @@ func (s *Service) SetJournal(j *journal.Journal) {
 			_ = j.JobAccepted(jb.id, raw, jb.summaryOnly)
 		}
 	}
-	s.queue.rejected = func(jb *job) { s.journalTerminal(jb, jb.status()) }
+	s.queue.rejected = func(jb *job) {
+		st := jb.status()
+		s.journalTerminal(jb, st.State, st.Error)
+	}
 }
 
 // ResumeJournal rebuilds job state from the attached journal, called once
@@ -377,18 +380,27 @@ func (s *Service) restoreTerminal(id string, specs []spec.ScenarioSpec, js *jour
 
 // journalTerminal records a job's terminal transition, carrying the full
 // summary document for done jobs so the summary store survives restarts.
-func (s *Service) journalTerminal(jb *job, st JobStatus) {
+func (s *Service) journalTerminal(jb *job, state JobState, errMsg string) {
 	if s.jnl == nil {
 		return
 	}
 	var sumRaw json.RawMessage
-	if st.State == JobDone {
+	if state == JobDone {
 		if sum := jb.summarySnapshot(); sum != nil {
 			sumRaw, _ = json.Marshal(sum)
 		}
 	}
 	//lint:allow errsink the journal records write errors internally and Close surfaces them; a lost terminal record re-runs the job on resume, never corrupts it
-	_ = s.jnl.JobTerminal(jb.id, string(st.State), st.Error, sumRaw)
+	_ = s.jnl.JobTerminal(jb.id, string(state), errMsg, sumRaw)
+}
+
+// finishJob journals a running job's terminal record, then makes the job
+// terminal. In that order no client can see a finished job, or read its
+// summary, whose record a crash could still lose and re-run on restart —
+// the same order acceptance follows (DESIGN.md §14).
+func (s *Service) finishJob(jb *job, state JobState, errMsg string) {
+	s.journalTerminal(jb, state, errMsg)
+	jb.finish(state, errMsg)
 }
 
 // SetExecutor replaces the per-spec execution function the cache sits in
@@ -602,10 +614,11 @@ func (s *Service) CancelJob(id string) (JobStatus, bool) {
 	st := jb.status()
 	if wasQueued && st.State == JobFailed {
 		// A cancel-while-queued never reaches runJob, so its terminal trace
-		// event — and its terminal journal record — is recorded here; running
-		// jobs get theirs when runJob exits.
+		// event — and its terminal journal record — is recorded here, before
+		// the DELETE is answered; a running job journals its record in
+		// finishJob and traces its end when runJob exits.
 		s.tracer.Record(jb.id, obs.NoChunk, obs.NoWorker, obs.PhaseFailed, "canceled")
-		s.journalTerminal(jb, st)
+		s.journalTerminal(jb, st.State, st.Error)
 	}
 	return st, true
 }
@@ -631,7 +644,6 @@ func (s *Service) runJob(jb *job) {
 	} else {
 		s.tracer.Record(jb.id, obs.NoChunk, obs.NoWorker, obs.PhaseFailed, st.Error)
 	}
-	s.journalTerminal(jb, st)
 }
 
 // runJobLocal executes a job's specs on a bounded worker pool, each spec
@@ -683,7 +695,7 @@ func (s *Service) runJobLocal(jb *job) {
 	close(idx)
 	wg.Wait()
 	if canceled || jb.isCanceled() {
-		jb.finish(JobFailed, "canceled")
+		s.finishJob(jb, JobFailed, "canceled")
 		return
 	}
 	total := agg.NewSummary()
@@ -691,7 +703,7 @@ func (s *Service) runJobLocal(jb *job) {
 		total.Merge(f)
 	}
 	jb.setSummary(total)
-	jb.finish(JobDone, "")
+	s.finishJob(jb, JobDone, "")
 }
 
 // runJobDistributed executes a summary-only job through the distributor:
@@ -717,13 +729,13 @@ func (s *Service) runJobDistributed(jb *job) {
 	sum, err := s.distribute(ctx, jb.specs)
 	switch {
 	case jb.isCanceled():
-		jb.finish(JobFailed, "canceled")
+		s.finishJob(jb, JobFailed, "canceled")
 	case err != nil:
-		jb.finish(JobFailed, err.Error())
+		s.finishJob(jb, JobFailed, err.Error())
 	default:
 		jb.setCompleted(len(jb.specs))
 		jb.setSummary(sum)
-		jb.finish(JobDone, "")
+		s.finishJob(jb, JobDone, "")
 	}
 	<-watcherDone // finish broadcast released it; don't leak past Close
 }

@@ -261,9 +261,9 @@ func appendFloat(dst []byte, f float64) ([]byte, error) {
 // num, mapping every spelling of one number to one form: int64-range
 // integers (including "1.0" and "1e2") print as plain decimals,
 // uint64-range integers keep full precision, and everything else prints
-// in strconv's shortest float64 round-trip form. The Param accessors read
-// json.Number params through the same rule, so spellings that share a key
-// also share an outcome.
+// in strconv's shortest float64 round-trip form. The integer Param
+// accessors parse this form, so spellings that share a key also share an
+// outcome.
 func normalizeNumber(dst []byte, num string) []byte {
 	// Unsigned first: a seed above MaxInt64 then parses without the
 	// allocation of a failed ParseInt, and below it both agree.

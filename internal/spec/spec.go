@@ -26,7 +26,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 
@@ -64,76 +63,48 @@ type AlgorithmSpec struct {
 	Params map[string]any `json:"params,omitempty"`
 }
 
-// ParamInt returns the integer parameter key, or def when absent. Parsed
-// JSON numbers arrive as json.Number (Parse decodes with UseNumber, so
-// 64-bit values survive exactly) and are read in the canonical encoding's
-// normal form, so "5", "5.0" and "5e0" — one content address — are all 5;
-// a non-integral or out-of-range value is an error, never a silent
+// ParamInt returns the integer parameter key, or def when absent. It
+// parses the value's canonical encoding — the bytes its content address
+// holds — so two values that share a key read alike: the JSON spellings
+// "5", "5.0" and "5e0" and the Go values int64(5), uint8(5) and 5.0 are
+// all 5. A non-integral or out-of-range value is an error, never a silent
 // truncation.
 func (a AlgorithmSpec) ParamInt(key string, def int) (int, error) {
-	switch v := a.Params[key].(type) {
-	case nil:
+	v := a.Params[key]
+	if v == nil {
 		return def, nil
-	case int:
-		return v, nil
-	case json.Number:
-		n, err := strconv.ParseInt(normalParam(v), 10, 64)
-		if err != nil || int64(int(n)) != n {
-			return 0, fmt.Errorf("param %q: %q is not an int-sized integer", key, v.String())
-		}
-		return int(n), nil
-	case float64:
-		// float64(MaxInt64) rounds to 2^63, one past the largest int64, so
-		// the upper bound must be exclusive.
-		if v != math.Trunc(v) || v < math.MinInt64 || v >= math.MaxInt64 {
-			return 0, fmt.Errorf("param %q: %v is not an integer", key, v)
-		}
-		return int(v), nil
-	default:
-		return 0, fmt.Errorf("param %q: %T is not an integer", key, v)
 	}
+	n, err := strconv.ParseInt(canonicalParam(v), 10, 64)
+	if err != nil || int64(int(n)) != n {
+		return 0, fmt.Errorf("param %q: %v is not an int-sized integer", key, v)
+	}
+	return int(n), nil
 }
 
-// ParamUint64 returns the uint64 parameter key, or def when absent; full
-// 64-bit precision is preserved through JSON (see ParamInt).
+// ParamUint64 returns the uint64 parameter key, or def when absent; like
+// ParamInt it parses the value's canonical encoding, which keeps full
+// 64-bit precision through JSON.
 func (a AlgorithmSpec) ParamUint64(key string, def uint64) (uint64, error) {
-	switch v := a.Params[key].(type) {
-	case nil:
+	v := a.Params[key]
+	if v == nil {
 		return def, nil
-	case uint64:
-		return v, nil
-	case int:
-		if v < 0 {
-			return 0, fmt.Errorf("param %q: %d is negative", key, v)
-		}
-		return uint64(v), nil
-	case json.Number:
-		n, err := strconv.ParseUint(normalParam(v), 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("param %q: %q is not a non-negative integer", key, v.String())
-		}
-		return n, nil
-	case float64:
-		if v != math.Trunc(v) || v < 0 || v >= math.MaxUint64 {
-			return 0, fmt.Errorf("param %q: %v is not a non-negative integer", key, v)
-		}
-		return uint64(v), nil
-	default:
-		return 0, fmt.Errorf("param %q: %T is not a non-negative integer", key, v)
 	}
+	n, err := strconv.ParseUint(canonicalParam(v), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("param %q: %v is not a non-negative integer", key, v)
+	}
+	return n, nil
 }
 
-// normalParam is a json.Number param in the form the canonical encoding
-// gives it: the integer accessors parse this form, so spellings that
-// share a key also share an outcome. An invalid literal, which has no key,
-// yields "" and fails to parse.
-func normalParam(n json.Number) string {
+// canonicalParam is the canonical encoding of a param value, or "" for a
+// value that has none (and so fails to parse).
+func canonicalParam(v any) string {
 	var buf [32]byte
-	norm, ok := appendNumberLiteral(buf[:0], n)
-	if !ok {
+	enc, err := appendValue(buf[:0], v)
+	if err != nil {
 		return ""
 	}
-	return string(norm)
+	return string(enc)
 }
 
 // ParamString returns the string parameter key, or def when absent; a

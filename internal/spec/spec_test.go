@@ -2,6 +2,7 @@ package spec
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -413,19 +414,36 @@ func TestParamNumberSpellings(t *testing.T) {
 	}
 }
 
-// TestParamOutcomeFollowsKey checks that json.Number spellings with one
-// canonical encoding — one content address — read alike through both
-// integer accessors, so a cached outcome is right for every spelling.
+// TestParamOutcomeFollowsKey checks that param values with one canonical
+// encoding — one content address — read alike through both integer
+// accessors, so a cached outcome is right for every value with that key:
+// json.Number spellings, Go-built values of every integer width and both
+// float sizes, and the JSON spelling of each Go value's key.
 func TestParamOutcomeFollowsKey(t *testing.T) {
+	var values []any
 	digits := []string{"0", "5", "50", "500", "05", "1", "9"}
-	var spellings []string
 	for _, m := range digits {
 		for _, frac := range []string{"", ".0", ".00", ".5"} {
 			for _, exp := range []string{"", "e0", "e1", "e-1", "E+2", "e400"} {
 				for _, sign := range []string{"", "-"} {
-					spellings = append(spellings, sign+m+frac+exp)
+					values = append(values, json.Number(sign+m+frac+exp))
 				}
 			}
+		}
+	}
+	var built []any
+	for _, n := range []int64{0, 5, -5, 127, -128, 255, 500, 65535, -1 << 31, 1<<31 - 1,
+		1<<32 + 1, 1<<53 + 1, math.MaxInt64, math.MinInt64} {
+		built = append(built, int(n), int8(n), int16(n), int32(n), int64(n),
+			uint(n), uint8(n), uint16(n), uint32(n), uint64(n), float32(n), float64(n))
+	}
+	built = append(built, uint64(math.MaxUint64), float64(math.MaxUint64),
+		float64(1<<60+256), 1e17, 123456789012345678.0, 5.5, -3.0, 1e21,
+		float32(5.5), float32(1e10), float32(-7))
+	for _, v := range built {
+		values = append(values, v)
+		if canon, err := appendValue(nil, v); err == nil {
+			values = append(values, json.Number(canon))
 		}
 	}
 	type outcome struct {
@@ -435,25 +453,26 @@ func TestParamOutcomeFollowsKey(t *testing.T) {
 		uErr bool
 	}
 	byKey := map[string]outcome{}
-	first := map[string]string{}
-	for _, num := range spellings {
-		canon, err := appendValue(nil, json.Number(num))
+	first := map[string]any{}
+	for _, v := range values {
+		canon, err := appendValue(nil, v)
 		if err != nil {
 			continue // no key, never cached
 		}
-		a := AlgorithmSpec{Params: map[string]any{"x": json.Number(num)}}
+		a := AlgorithmSpec{Params: map[string]any{"x": v}}
 		var o outcome
 		o.i, err = a.ParamInt("x", 0)
 		o.iErr = err != nil
 		o.u, err = a.ParamUint64("x", 0)
 		o.uErr = err != nil
 		if prev, ok := byKey[string(canon)]; ok && prev != o {
-			t.Errorf("%q and %q share the key material %s but read %+v and %+v", first[string(canon)], num, canon, prev, o)
+			t.Errorf("%T %v and %T %v share the key material %s but read %+v and %+v",
+				first[string(canon)], first[string(canon)], v, v, canon, prev, o)
 		}
-		byKey[string(canon)], first[string(canon)] = o, num
+		byKey[string(canon)], first[string(canon)] = o, v
 	}
 	if len(byKey) < 20 {
-		t.Fatalf("only %d distinct keys; the spelling grid is too thin", len(byKey))
+		t.Fatalf("only %d distinct keys; the value grid is too thin", len(byKey))
 	}
 }
 

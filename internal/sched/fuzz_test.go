@@ -15,7 +15,7 @@ func FuzzPlan(f *testing.F) {
 	f.Add(uint64(42), 1, 1, 1)
 	f.Add(uint64(7), 200, 5, 8)
 	f.Add(uint64(99), 33, 16, 1)
-	f.Add(uint64(3), 64, 3, 100)
+	f.Add(uint64(3), 64, 3, 64)
 	f.Fuzz(func(t *testing.T, seed uint64, n, workers, cpw int) {
 		if n < 0 || n > 2000 {
 			t.Skip()

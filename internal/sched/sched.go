@@ -48,7 +48,7 @@ type Chunk struct {
 // Specs returns the number of specs the chunk spans.
 func (c Chunk) Specs() int { return c.Hi - c.Lo }
 
-// StaticBounds returns the half-open spec range [lo, hi) of shard i when n
+// StaticBounds returns the half-open range [lo, hi) of shard i when n
 // items are partitioned contiguously over the given shard count. The
 // dispatcher uses it to assign chunks to home queues. It is a pure
 // function; shards differ in size by at most one item, so when n < shards

@@ -58,9 +58,10 @@ func gatherOutcome(g *graph.Graph, br sim.BatchResult) (int, int, error) {
 	return res.Rounds, leaders[0], nil
 }
 
-// runSpecs compiles every spec, streams the batch over the worker pool in
-// input order, verifies Theorem 3.1's postconditions, and returns the
-// compiled scenarios plus (rounds, leader, sequence) per spec.
+// runSpecs compiles every spec, runs the batch on the worker pool, verifies
+// Theorem 3.1's postconditions in input order, and returns the compiled
+// scenarios plus (rounds, leader, sequence) per spec, or the error of the
+// lowest-index spec that fails them.
 func runSpecs(specs []spec.ScenarioSpec) ([]sim.Scenario, []int, []int, []*ues.Sequence, error) {
 	scs, ars, err := spec.CompileAllArtifacts(specs)
 	if err != nil {
@@ -72,18 +73,12 @@ func runSpecs(specs []spec.ScenarioSpec) ([]sim.Scenario, []int, []int, []*ues.S
 	}
 	rounds := make([]int, len(specs))
 	leaders := make([]int, len(specs))
-	var firstErr error
-	sim.RunStream(scs, func(br sim.BatchResult) bool {
-		r, l, err := gatherOutcome(scs[br.Index].Graph, br)
+	for i, br := range sim.RunBatch(scs) {
+		r, l, err := gatherOutcome(scs[i].Graph, br)
 		if err != nil {
-			firstErr = err
-			return false
+			return nil, nil, nil, nil, err
 		}
-		rounds[br.Index], leaders[br.Index] = r, l
-		return true
-	})
-	if firstErr != nil {
-		return nil, nil, nil, nil, firstErr
+		rounds[i], leaders[i] = r, l
 	}
 	return scs, rounds, leaders, seqs, nil
 }

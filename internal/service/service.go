@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"nochatter/internal/agg"
@@ -654,55 +653,27 @@ func (s *Service) runJob(jb *job) {
 // job's summary when the job completes — so every finished job has a
 // streaming aggregate, and a summary-only job stores nothing else.
 func (s *Service) runJobLocal(jb *job) {
-	p := s.cfg.Parallelism
-	if p > len(jb.specs) {
-		p = len(jb.specs)
-	}
-	idx := make(chan int)
-	folders := make([]*agg.Summary, p)
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fold := agg.NewSummary()
-			folders[w] = fold
-			for i := range idx {
-				sp := jb.specs[i]
-				start := time.Now()
-				key, res, cached, err := s.RunSpec(sp)
-				wall := time.Since(start)
-				s.specRunUS.Observe(wall.Microseconds())
-				fold.Observe(agg.KeyOf(sp), res, err, wall)
-				r := JobResult{Index: i, Name: sp.Name, Key: key, Cached: cached, Result: res}
-				if err != nil {
-					r.Error = err.Error()
-				}
-				// For summary-only jobs setResult stores nothing — the fold
-				// above is the only retained outcome.
-				jb.setResult(i, r)
+	sum := sim.Fold(s.cfg.Parallelism, len(jb.specs), func() bool { return !jb.isCanceled() }, agg.NewSummary,
+		func(fold *agg.Summary, i int) {
+			sp := jb.specs[i]
+			start := time.Now()
+			key, res, cached, err := s.RunSpec(sp)
+			wall := time.Since(start)
+			s.specRunUS.Observe(wall.Microseconds())
+			fold.Observe(agg.KeyOf(sp), res, err, wall)
+			r := JobResult{Index: i, Name: sp.Name, Key: key, Cached: cached, Result: res}
+			if err != nil {
+				r.Error = err.Error()
 			}
-		}(w)
-	}
-	canceled := false
-	for i := range jb.specs {
-		if jb.isCanceled() {
-			canceled = true
-			break
-		}
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if canceled || jb.isCanceled() {
+			// For summary-only jobs setResult stores nothing — the fold
+			// above is the only retained outcome.
+			jb.setResult(i, r)
+		}, (*agg.Summary).Merge)
+	if jb.isCanceled() {
 		s.finishJob(jb, JobFailed, "canceled")
 		return
 	}
-	total := agg.NewSummary()
-	for _, f := range folders {
-		total.Merge(f)
-	}
-	jb.setSummary(total)
+	jb.setSummary(sum)
 	s.finishJob(jb, JobDone, "")
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -121,18 +122,10 @@ func TestJobSummaryEndpoint(t *testing.T) {
 
 // TestJobSummaryMatchesLocalFold proves the served summary's deterministic
 // core is bit-identical to an in-process agg.Summarize of the same specs —
-// the service path (cache, singleflight, job workers) changes nothing.
+// the service path (cache, singleflight, job workers) changes nothing. At
+// parallelism 1 the job's fold runs on the job worker's goroutine, at 4 on
+// a pool of its own.
 func TestJobSummaryMatchesLocalFold(t *testing.T) {
-	svc := New(Config{})
-	defer svc.Close()
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	acc := postSweep(t, srv.URL, "")
-	served, code := getSummary(t, srv.URL, acc.JobID)
-	if code != http.StatusOK {
-		t.Fatalf("summary: HTTP %d", code)
-	}
 	specs, err := summarySweepDef().Sweep().Specs()
 	if err != nil {
 		t.Fatal(err)
@@ -141,16 +134,30 @@ func TestJobSummaryMatchesLocalFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	servedCanon, err := served.Summary.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
 	localCanon, err := local.CanonicalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(servedCanon, localCanon) {
-		t.Fatalf("served summary differs from local fold:\n%s\n%s", servedCanon, localCanon)
+	for _, p := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", p), func(t *testing.T) {
+			svc := New(Config{Parallelism: p})
+			defer svc.Close()
+			srv := httptest.NewServer(svc.Handler())
+			defer srv.Close()
+
+			acc := postSweep(t, srv.URL, "")
+			served, code := getSummary(t, srv.URL, acc.JobID)
+			if code != http.StatusOK {
+				t.Fatalf("summary: HTTP %d", code)
+			}
+			servedCanon, err := served.Summary.CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(servedCanon, localCanon) {
+				t.Fatalf("served summary differs from local fold:\n%s\n%s", servedCanon, localCanon)
+			}
+		})
 	}
 }
 

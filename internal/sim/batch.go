@@ -87,144 +87,68 @@ func (r *Runner) runTimed(i int, sc Scenario) BatchResult {
 	return BatchResult{Index: i, Result: res, Err: err, Wall: time.Since(start)}
 }
 
-// RunBatch executes all scenarios on a worker pool and returns one result
-// per scenario, in input order. Each scenario runs to completion
-// independently; an error in one does not stop the others. Unlike Stream,
-// workers write straight into the result slice with no delivery window, so
-// one slow scenario never idles the rest of the pool.
-func (r *Runner) RunBatch(scs []Scenario) []BatchResult {
-	out := make([]BatchResult, len(scs))
-	p := r.parallelism
+// Fold runs body(acc, i) for i = 0..n-1 on a pool of p goroutines and
+// returns the merged accumulator. Each worker owns one accumulator from
+// newA; once every call has returned, the accumulators merge left to right
+// in worker order. p < 1 selects GOMAXPROCS and p is capped at n; with
+// p <= 1 every body runs on the caller's goroutine.
+//
+// Indices go out in increasing order over an unbuffered channel, so no
+// window bounds how far the pool runs ahead of a slow index. more, when
+// non-nil, runs on the caller's goroutine before each index; once it
+// returns false no further index goes out, and Fold returns when the calls
+// in flight have.
+//
+// Which worker runs an index depends on scheduling, so for the result to
+// be independent of it, body must write only index-addressed state or fold
+// commutatively and associatively, as merge must.
+func Fold[A any](p, n int, more func() bool, newA func() A, body func(acc A, i int), merge func(dst, src A)) A {
 	if p < 1 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	if p > len(scs) {
-		p = len(scs)
-	}
+	p = min(p, n)
 	if p <= 1 {
-		for i, sc := range scs {
-			out[i] = r.runTimed(i, sc)
+		acc := newA()
+		for i := 0; i < n && (more == nil || more()); i++ {
+			body(acc, i)
 		}
-		return out
+		return acc
 	}
-	jobs := make(chan int)
+	accs := make([]A, p)
+	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
+	for w := range accs {
+		accs[w] = newA()
 		wg.Add(1)
-		go func() {
+		go func(acc A) {
 			defer wg.Done()
-			for i := range jobs {
-				out[i] = r.runTimed(i, scs[i])
+			for i := range idx {
+				body(acc, i)
 			}
-		}()
+		}(accs[w])
 	}
-	for i := range scs {
-		jobs <- i
+	for i := 0; i < n && (more == nil || more()); i++ {
+		idx <- i
 	}
-	close(jobs)
+	close(idx)
 	wg.Wait()
-	return out
+	for _, acc := range accs[1:] {
+		merge(accs[0], acc)
+	}
+	return accs[0]
 }
 
-// Stream executes all scenarios on a worker pool and delivers each result
-// to yield in input order, without materializing the result slice — the
-// consumer of a million-scenario sweep holds one result at a time. Workers
-// run ahead of the consumer by at most the parallelism degree (completed
-// out-of-order results are buffered until their turn). yield returning
-// false stops the stream: no new scenarios start, and Stream returns after
-// in-flight runs finish.
-func (r *Runner) Stream(scs []Scenario, yield func(BatchResult) bool) {
-	p := r.parallelism
-	if p < 1 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > len(scs) {
-		p = len(scs)
-	}
-	if p <= 1 {
-		for i, sc := range scs {
-			if !yield(r.runTimed(i, sc)) {
-				return
-			}
-		}
-		return
-	}
-	jobs := make(chan int)
-	results := make(chan BatchResult, p)
-	stop := make(chan struct{})
-	// credits caps the number of scenarios that are running or completed
-	// but not yet delivered: the feeder takes a credit per job, the
-	// consumer returns one per in-order delivery. Without it, one slow
-	// early scenario would let the pool race ahead and buffer the whole
-	// batch in the reorder map.
-	credits := make(chan struct{}, p)
-	for w := 0; w < p; w++ {
-		credits <- struct{}{}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				select {
-				case <-stop:
-					continue // drain handed-out jobs without running them
-				default:
-				}
-				results <- r.runTimed(i, scs[i])
-			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for i := range scs {
-			select {
-			case <-credits:
-			case <-stop:
-				return
-			}
-			select {
-			case <-stop: // checked with priority: both cases of the next
-				return // select can be ready at once
-			default:
-			}
-			select {
-			case jobs <- i:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	// Reorder: deliver strictly by index, buffering results that finish
-	// ahead of their turn (at most p of them, by the credit window).
-	pending := make(map[int]BatchResult, p)
-	next := 0
-	stopped := false
-	for br := range results {
-		if stopped {
-			continue // drain so workers can exit
-		}
-		pending[br.Index] = br
-		for !stopped {
-			b, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if !yield(b) {
-				stopped = true
-				close(stop)
-				break
-			}
-			credits <- struct{}{}
-		}
-	}
+// RunBatch executes all scenarios on a worker pool (Fold) and returns one
+// result per scenario, in input order. Each scenario runs to completion
+// independently; an error in one does not stop the others. Workers write
+// straight into the result slice with no delivery window, so one slow
+// scenario never idles the rest of the pool.
+func (r *Runner) RunBatch(scs []Scenario) []BatchResult {
+	out := make([]BatchResult, len(scs))
+	Fold(r.parallelism, len(scs), nil, func() struct{} { return struct{}{} }, func(_ struct{}, i int) {
+		out[i] = r.runTimed(i, scs[i])
+	}, func(_, _ struct{}) {})
+	return out
 }
 
 // RunBatch executes scenarios on a worker pool with the given options; see
@@ -233,19 +157,14 @@ func RunBatch(scs []Scenario, opts ...Option) []BatchResult {
 	return NewRunner(opts...).RunBatch(scs)
 }
 
-// RunStream executes scenarios on a worker pool with the given options,
-// streaming results in input order; see Runner.Stream.
-func RunStream(scs []Scenario, yield func(BatchResult) bool, opts ...Option) {
-	NewRunner(opts...).Stream(scs, yield)
-}
-
 // FoldBatch executes all scenarios on r's worker pool and folds every result
 // into an accumulator WITHOUT ever materializing the result set: each worker
-// folds the runs it executes into its own accumulator (newA, fold), and the
-// per-worker accumulators are merged left-to-right in worker order (merge)
-// once all runs complete. One million-scenario sweep therefore costs O(p)
-// accumulators of memory, not O(n) results — the fold-as-you-stream path
-// internal/agg builds its streaming summaries on.
+// folds the runs it executes into its own accumulator (newA, fold), right
+// after each run returns, and the per-worker accumulators are merged
+// left-to-right in worker order (merge) once all runs complete (see Fold).
+// One million-scenario sweep therefore costs O(p) accumulators of memory,
+// not O(n) results — the fold-as-you-stream path internal/agg builds its
+// streaming summaries on.
 //
 // Workers fold results in completion order, so fold and merge must be
 // commutative and associative for the outcome to be independent of
@@ -253,42 +172,7 @@ func RunStream(scs []Scenario, yield func(BatchResult) bool, opts ...Option) {
 // histogram-bucket adds), which is what makes a summary bit-identical
 // across parallelism degrees.
 func FoldBatch[A any](r *Runner, scs []Scenario, newA func() A, fold func(A, BatchResult), merge func(dst, src A)) A {
-	p := r.parallelism
-	if p < 1 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > len(scs) {
-		p = len(scs)
-	}
-	if p <= 1 {
-		acc := newA()
-		for i, sc := range scs {
-			fold(acc, r.runTimed(i, sc))
-		}
-		return acc
-	}
-	accs := make([]A, p)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			acc := newA()
-			for i := range jobs {
-				fold(acc, r.runTimed(i, scs[i]))
-			}
-			accs[w] = acc
-		}(w)
-	}
-	for i := range scs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	total := accs[0]
-	for _, acc := range accs[1:] {
-		merge(total, acc)
-	}
-	return total
+	return Fold(r.parallelism, len(scs), nil, newA, func(acc A, i int) {
+		fold(acc, r.runTimed(i, scs[i]))
+	}, merge)
 }

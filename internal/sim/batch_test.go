@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nochatter/internal/graph"
 )
@@ -111,52 +112,69 @@ func TestRunBatchEmpty(t *testing.T) {
 	}
 }
 
-func TestStreamMatchesRunBatchInOrder(t *testing.T) {
-	scs := batchScenarios(9)
-	want := RunBatch(scs, WithParallelism(1))
-	for _, p := range []int{1, 4} {
-		var got []BatchResult
-		RunStream(scs, func(br BatchResult) bool {
-			got = append(got, br)
-			return true
-		}, WithParallelism(p))
-		if len(got) != len(want) {
-			t.Fatalf("parallelism %d: streamed %d results, want %d", p, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Index != i {
-				t.Fatalf("parallelism %d: result %d arrived with index %d", p, i, got[i].Index)
+// TestRunBatchHasNoWindow pins the pool's no-window property: at
+// parallelism 2, scenario 0 blocks until scenarios 1-5 have all finished,
+// which they can only do if the pool hands them to the other worker while
+// scenario 0 is still running. A pool that bounded how far it runs ahead of
+// its slowest scenario would stall here until the timeout.
+func TestRunBatchHasNoWindow(t *testing.T) {
+	const rest = 5
+	var left atomic.Int32
+	left.Store(rest)
+	restDone := make(chan struct{})
+	var stalled atomic.Bool
+	scs := make([]Scenario, 1+rest)
+	for i := range scs {
+		prog := func(a *API) Report {
+			a.WaitRounds(1)
+			if left.Add(-1) == 0 {
+				close(restDone)
 			}
-			if !reflect.DeepEqual(got[i].Result.Agents, want[i].Result.Agents) {
-				t.Errorf("parallelism %d: case %d diverges from RunBatch", p, i)
+			return Report{}
+		}
+		if i == 0 {
+			prog = func(a *API) Report {
+				select {
+				case <-restDone:
+				case <-time.After(10 * time.Second):
+					stalled.Store(true)
+				}
+				return Report{}
 			}
 		}
+		scs[i] = Scenario{Graph: graph.TwoNodes(), Agents: []AgentSpec{{Label: 1, Start: 0, Program: prog}}}
+	}
+	for i, br := range RunBatch(scs, WithParallelism(2)) {
+		if br.Err != nil {
+			t.Fatalf("scenario %d: %v", i, br.Err)
+		}
+	}
+	if stalled.Load() {
+		t.Fatal("scenario 0 waited 10 s for scenarios 1-5: the pool did not run them beside it")
 	}
 }
 
-func TestStreamEarlyStop(t *testing.T) {
-	scs := batchScenarios(9)
+// TestFoldStopsHandingOut checks Fold's stop: once more returns false no
+// further index goes out, so exactly the indices handed out before it run,
+// and every worker's accumulator is merged into the result.
+func TestFoldStopsHandingOut(t *testing.T) {
 	for _, p := range []int{1, 3} {
-		seen := 0
-		RunStream(scs, func(br BatchResult) bool {
-			seen++
-			return seen < 4
-		}, WithParallelism(p))
-		if seen != 4 {
-			t.Errorf("parallelism %d: yield called %d times after stop at 4", p, seen)
+		calls := 0 // more runs on this goroutine only
+		var ran [9]atomic.Bool
+		total := Fold(p, len(ran), func() bool {
+			calls++
+			return calls <= 4
+		}, func() *int { return new(int) }, func(acc *int, i int) {
+			ran[i].Store(true)
+			*acc++
+		}, func(dst, src *int) { *dst += *src })
+		if *total != 4 {
+			t.Errorf("parallelism %d: %d bodies folded after more stopped at 4", p, *total)
 		}
-	}
-}
-
-func TestStreamErrorIsolation(t *testing.T) {
-	scs := batchScenarios(3)
-	scs[1].Agents = nil
-	var errs []error
-	RunStream(scs, func(br BatchResult) bool {
-		errs = append(errs, br.Err)
-		return true
-	}, WithParallelism(2))
-	if len(errs) != 3 || errs[0] != nil || errs[1] == nil || errs[2] != nil {
-		t.Errorf("stream errors %v, want only the middle scenario failing", errs)
+		for i := range ran {
+			if ran[i].Load() != (i < 4) {
+				t.Errorf("parallelism %d: index %d ran=%v", p, i, ran[i].Load())
+			}
+		}
 	}
 }

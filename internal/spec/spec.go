@@ -268,7 +268,7 @@ func (s ScenarioSpec) Run() (*sim.RunResult, error) {
 }
 
 // CompileAll compiles every spec (a sweep's output, typically), failing on
-// the first error; the result feeds sim.RunBatch or sim.RunStream directly.
+// the first error; the result feeds sim.RunBatch or sim.FoldBatch directly.
 func CompileAll(specs []ScenarioSpec) ([]sim.Scenario, error) {
 	scs, _, err := CompileAllArtifacts(specs)
 	return scs, err

@@ -98,11 +98,9 @@
 //	results := nochatter.RunBatch(scenarios, nochatter.WithParallelism(8))
 //
 // Parallelism never changes results: each run is deterministic and results
-// arrive in input order. RunStream (and Runner.Stream) delivers results
-// one at a time in input order without materializing the slice, and
-// NewSweep builds cartesian families × sizes × teams × wake schedules ×
-// algorithms products of ScenarioSpecs declaratively (see
-// examples/batchsweep).
+// arrive in input order. NewSweep builds cartesian families × sizes × teams
+// × wake schedules × algorithms products of ScenarioSpecs declaratively
+// (see examples/batchsweep).
 //
 // # Streaming summaries
 //
@@ -428,7 +426,7 @@ var (
 	// BuildGraph compiles a GraphSpec through the family registry.
 	BuildGraph = spec.BuildGraph
 	// CompileSpecs compiles a slice of specs (a sweep's output) into
-	// scenarios ready for RunBatch or RunStream.
+	// scenarios ready for RunBatch.
 	CompileSpecs = spec.CompileAll
 	// RegisterGraphFamily adds a graph family to the registry.
 	RegisterGraphFamily = spec.RegisterGraphFamily
@@ -483,9 +481,6 @@ var (
 	// RunBatch executes independent scenarios on a worker pool, results in
 	// input order.
 	RunBatch = sim.RunBatch
-	// RunStream executes independent scenarios on a worker pool, streaming
-	// results in input order without materializing the result slice.
-	RunStream = sim.RunStream
 	// ValidateScenario checks a scenario up front (labels, starts, wake
 	// rounds, programs) and returns a descriptive error; Run and spec
 	// compilation apply the same checks.

@@ -238,7 +238,7 @@ func TestPublicScenarioSpec(t *testing.T) {
 	}
 }
 
-func TestPublicSweepStream(t *testing.T) {
+func TestPublicSweepBatch(t *testing.T) {
 	specs, err := nochatter.NewSweep().
 		Families("ring").Sizes(4, 6).
 		Teams(nochatter.SweepTeam{Labels: []int{1, 2}}).
@@ -251,19 +251,17 @@ func TestPublicSweepStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := 0
-	nochatter.RunStream(scs, func(br nochatter.BatchResult) bool {
-		if br.Index != next {
-			t.Errorf("stream delivered index %d, want %d", br.Index, next)
+	out := nochatter.RunBatch(scs, nochatter.WithParallelism(2))
+	if len(out) != len(scs) {
+		t.Fatalf("batch returned %d results, want %d", len(out), len(scs))
+	}
+	for i, br := range out {
+		if br.Index != i {
+			t.Errorf("result %d carries index %d", i, br.Index)
 		}
-		next++
 		if br.Err != nil {
-			t.Errorf("%s: %v", specs[br.Index].Name, br.Err)
+			t.Errorf("%s: %v", specs[i].Name, br.Err)
 		}
-		return true
-	}, nochatter.WithParallelism(2))
-	if next != len(scs) {
-		t.Errorf("streamed %d results, want %d", next, len(scs))
 	}
 }
 

@@ -261,3 +261,54 @@ func TestTerminalRecordPrecedesTerminalState(t *testing.T) {
 		}
 	}
 }
+
+// TestQueuedCancelJournalsTerminalRecordFirst pins the same order for a
+// job canceled while queued, which never reaches a job worker: its
+// terminal record must be in the journal before anyone can see it failed.
+// The one job worker is held by a blocked job while 3,000 queued jobs are
+// canceled, each with a waiter blocked on its end.
+func TestQueuedCancelJournalsTerminalRecordFirst(t *testing.T) {
+	const cancels = 3000
+	svc, jnl := journaledService(t, t.TempDir(), Config{Workers: 1, Backlog: 4096})
+	release := make(chan struct{})
+	svc.SetExecutor(func(spec.ScenarioSpec) (*sim.RunResult, error) {
+		<-release
+		return nil, errors.New("released")
+	})
+	defer func() {
+		close(release)
+		svc.Close()
+		_ = jnl.Close()
+	}()
+	specs := differentialSpecs()[:1]
+	if _, err := svc.SubmitSpecs(specs); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the blocking job running", func() bool { return svc.Snapshot().JobsRunning == 1 })
+	early := 0
+	for i := 0; i < cancels; i++ {
+		st, err := svc.SubmitSpecs(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jb, ok := svc.queue.get(st.ID)
+		if !ok {
+			t.Fatalf("job %s not found", st.ID)
+		}
+		before := jnl.Records()
+		seen := make(chan int64)
+		go func() {
+			jb.waitTerminal(context.Background())
+			seen <- jnl.Records()
+		}()
+		if st, _ := svc.CancelJob(st.ID); st.State != JobFailed {
+			t.Fatalf("queued job %s after cancel: %+v", st.ID, st)
+		}
+		if <-seen == before {
+			early++
+		}
+	}
+	if early > 0 {
+		t.Fatalf("%d of %d queued jobs were seen canceled before their terminal record was journaled", early, cancels)
+	}
+}

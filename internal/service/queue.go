@@ -127,7 +127,7 @@ func (jb *job) setResult(i int, r JobResult) {
 func (jb *job) start() bool {
 	jb.mu.Lock()
 	defer jb.mu.Unlock()
-	if jb.state != JobQueued {
+	if jb.state != JobQueued || jb.canceled {
 		return false
 	}
 	jb.state = JobRunning
@@ -147,19 +147,18 @@ func (jb *job) finish(state JobState, errMsg string) {
 	jb.cond.Broadcast()
 }
 
-// cancel marks the job canceled. A queued job fails immediately; a running
-// job's executor observes the mark between specs (in-flight runs complete —
-// the engine has no mid-run abort) and then fails the job.
-func (jb *job) cancel() {
+// cancel marks the job canceled and reports whether the mark caught it
+// still queued, which start then refuses: the caller ends such a job
+// itself. A running job's executor observes the mark between specs
+// (in-flight runs complete — the engine has no mid-run abort) and then
+// fails the job.
+func (jb *job) cancel() (queued bool) {
 	jb.mu.Lock()
-	wasQueued := jb.state == JobQueued
+	defer jb.mu.Unlock()
+	queued = jb.state == JobQueued && !jb.canceled
 	jb.canceled = true
 	jb.cond.Broadcast() // wake cancellation watchers (distributed jobs)
-	jb.mu.Unlock()
-	if wasQueued {
-		jb.markDequeued()
-		jb.finish(JobFailed, "canceled")
-	}
+	return queued
 }
 
 // markDequeued fires the job's onDequeue hook exactly once, when the job

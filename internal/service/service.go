@@ -608,18 +608,16 @@ func (s *Service) CancelJob(id string) (JobStatus, bool) {
 	if !ok {
 		return JobStatus{}, false
 	}
-	wasQueued := jb.status().State == JobQueued
-	jb.cancel()
-	st := jb.status()
-	if wasQueued && st.State == JobFailed {
-		// A cancel-while-queued never reaches runJob, so its terminal trace
-		// event — and its terminal journal record — is recorded here, before
-		// the DELETE is answered; a running job journals its record in
-		// finishJob and traces its end when runJob exits.
+	if jb.cancel() {
+		// A cancel-while-queued never reaches runJob, so the job is ended
+		// here, before the DELETE is answered: finishJob journals its
+		// terminal record before the job turns terminal, as for a running
+		// job.
+		jb.markDequeued()
 		s.tracer.Record(jb.id, obs.NoChunk, obs.NoWorker, obs.PhaseFailed, "canceled")
-		s.journalTerminal(jb, st.State, st.Error)
+		s.finishJob(jb, JobFailed, "canceled")
 	}
-	return st, true
+	return jb.status(), true
 }
 
 // runJob executes one job — locally or through the distributor — wrapped

@@ -247,10 +247,7 @@ func TestFailedJobSummaryRefusesDespiteCache(t *testing.T) {
 	svc.cache.add(key, agg.NewSummary())
 
 	jb := newJob("jx", specs, false)
-	jb.cancel() // queued → failed
-	if !jb.isTerminal() {
-		t.Fatal("canceled queued job must be terminal")
-	}
+	jb.finish(JobFailed, "canceled")
 	if _, err := svc.summaryOf(jb); err == nil {
 		t.Fatal("failed job must refuse its summary even on a cache hit")
 	}

@@ -20,7 +20,7 @@ import (
 	"nochatter/internal/unknown"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_digest.txt from the current engine")
+var updateGolden = flag.Bool("update", false, "rewrite the digests in testdata from the current code")
 
 const goldenDigestFile = "testdata/golden_digest.txt"
 

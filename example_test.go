@@ -31,15 +31,16 @@ func ExampleScenarioSpec_Run() {
 	// leader: 8
 }
 
-// ExampleNewSweep declares a sweep — a families × sizes product with one
-// two-agent team — and materializes its specs. Every spec is pure data;
+// ExampleSweepDef declares a sweep — a families × sizes product with one
+// two-agent team — and expands it into specs. Every spec is pure data;
 // nothing has run yet.
-func ExampleNewSweep() {
-	specs, err := nochatter.NewSweep().
-		Families("ring", "path").Sizes(6, 8).
-		Teams(nochatter.SweepTeam{Labels: []int{1, 2}}).
-		Name("demo-{family}-n{n}").
-		Specs()
+func ExampleSweepDef() {
+	specs, err := nochatter.SweepDef{
+		Families: []string{"ring", "path"},
+		Sizes:    []int{6, 8},
+		Teams:    []nochatter.SweepTeam{{Labels: []int{1, 2}}},
+		Name:     "demo-{family}-n{n}",
+	}.Specs()
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -58,11 +59,12 @@ func ExampleNewSweep() {
 // worker pool; results arrive in input order and parallelism never changes
 // them.
 func ExampleRunBatch() {
-	specs, err := nochatter.NewSweep().
-		Families("ring").Sizes(4, 6, 8).
-		Teams(nochatter.SweepTeam{Labels: []int{1, 2}}).
-		Name("ring-n{n}").
-		Specs()
+	specs, err := nochatter.SweepDef{
+		Families: []string{"ring"},
+		Sizes:    []int{4, 6, 8},
+		Teams:    []nochatter.SweepTeam{{Labels: []int{1, 2}}},
+		Name:     "ring-n{n}",
+	}.Specs()
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -89,10 +91,11 @@ func ExampleRunBatch() {
 // and histogram percentiles per group — without materializing the results.
 // The summary is bit-identical for any parallelism.
 func ExampleSummarize() {
-	specs, err := nochatter.NewSweep().
-		Families("ring", "path").Sizes(6, 8, 10).
-		Teams(nochatter.SweepTeam{Labels: []int{1, 2}}).
-		Specs()
+	specs, err := nochatter.SweepDef{
+		Families: []string{"ring", "path"},
+		Sizes:    []int{6, 8, 10},
+		Teams:    []nochatter.SweepTeam{{Labels: []int{1, 2}}},
+	}.Specs()
 	if err != nil {
 		fmt.Println("error:", err)
 		return

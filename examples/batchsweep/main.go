@@ -1,12 +1,13 @@
-// Batch sweep with streaming summaries: a spec.Sweep declares a families ×
-// sizes product with a two-agent team — no hand-rolled scenario loops — and
-// every generated ScenarioSpec is pure data (JSON-round-trippable; one is
-// printed below). The whole sweep is then folded into a nochatter.Summary
-// AS RESULTS STREAM off the parallel worker pool: each worker reduces its
-// own runs (counts, min/max, log-bucket histograms) and the per-worker
-// summaries merge at the end, so the raw result set is never materialized —
-// the consumption pattern of sweeps too large to hold in memory. The
-// summary is bit-identical whatever the parallelism.
+// Batch sweep with streaming summaries: a SweepDef literal declares a
+// families × sizes product with two team sizes — no hand-rolled scenario
+// loops — and every generated ScenarioSpec is pure data
+// (JSON-round-trippable; one is printed below). The whole sweep is then
+// folded into a nochatter.Summary AS RESULTS STREAM off the parallel worker
+// pool: each worker reduces its own runs (counts, min/max, log-bucket
+// histograms) and the per-worker summaries merge at the end, so the raw
+// result set is never materialized — the consumption pattern of sweeps too
+// large to hold in memory. The summary is bit-identical whatever the
+// parallelism.
 //
 // The printed table groups by the sweep's axes and reports gathering rate
 // and p50/p90/p99 of gather rounds, engine-stepped rounds (the difference
@@ -34,11 +35,12 @@ func run() error {
 	// Two families × five sizes × two team sizes: twenty scenarios, each a
 	// serializable artifact. Agents start spread over the graph (the
 	// default team placement) and gather under a known upper bound.
-	sweep := nochatter.NewSweep().
-		Families("ring", "path").Sizes(4, 6, 8, 10, 12).
-		TeamSizes(2, 3).
-		Name("sweep-{family}-n{n}-k{k}")
-	specs, err := sweep.Specs()
+	specs, err := nochatter.SweepDef{
+		Families:  []string{"ring", "path"},
+		Sizes:     []int{4, 6, 8, 10, 12},
+		TeamSizes: []int{2, 3},
+		Name:      "sweep-{family}-n{n}-k{k}",
+	}.Specs()
 	if err != nil {
 		return err
 	}

@@ -13,12 +13,13 @@ import (
 // and grouping both matter.
 func testSweepSpecs(t *testing.T) []spec.ScenarioSpec {
 	t.Helper()
-	specs, err := spec.NewSweep().
-		Name("agg-{family}-n{n}-k{k}-{algo}").
-		Families("ring", "path").Sizes(4, 6, 8).
-		TeamSizes(2, 3).
-		Algorithms(spec.Known(), spec.Baseline()).
-		Specs()
+	specs, err := spec.SweepDef{
+		Name:       "agg-{family}-n{n}-k{k}-{algo}",
+		Families:   []string{"ring", "path"},
+		Sizes:      []int{4, 6, 8},
+		TeamSizes:  []int{2, 3},
+		Algorithms: []spec.AlgorithmSpec{spec.Known(), spec.Baseline()},
+	}.Specs()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,9 @@
 // row order always matches the case order.
 //
 // Scenario sweeps are declared as data: each gathering experiment is a
-// spec.Sweep (axes of graphs, teams, wake schedules and algorithms)
-// yielding serializable ScenarioSpecs, compiled and executed by the shared
-// runSpecs machinery — the former per-experiment case structs and scenario
-// assembly loops live in internal/spec now.
+// spec.SweepDef literal (axes of graphs, teams, wake schedules and
+// algorithms) whose expansion yields serializable ScenarioSpecs, compiled
+// and executed by the shared runSpecs machinery.
 package experiments
 
 import (
@@ -83,9 +82,9 @@ func runSpecs(specs []spec.ScenarioSpec) ([]sim.Scenario, []int, []int, []*ues.S
 	return scs, rounds, leaders, seqs, nil
 }
 
-// runSweep materializes a sweep and executes it via runSpecs.
-func runSweep(sw *spec.Sweep) ([]spec.ScenarioSpec, []sim.Scenario, []int, []int, []*ues.Sequence, error) {
-	specs, err := sw.Specs()
+// runSweep expands a sweep and executes it via runSpecs.
+func runSweep(def spec.SweepDef) ([]spec.ScenarioSpec, []sim.Scenario, []int, []int, []*ues.Sequence, error) {
+	specs, err := def.Specs()
 	if err != nil {
 		return nil, nil, nil, nil, nil, err
 	}
@@ -113,36 +112,40 @@ func E1Correctness(scale Scale) (*trace.Table, error) {
 	t := trace.NewTable(
 		"E1 — Theorem 3.1 correctness: gathering + simultaneous declaration + unique leader",
 		"graph", "n", "agents", "wake", "rounds", "leader", "ok")
-	sw := spec.NewSweep().Zip().Name("E1-{i}-{family}").
-		Graphs(
-			spec.GraphSpec{Family: "two"},
-			spec.GraphSpec{Family: "ring", N: 4},
-			spec.GraphSpec{Family: "ring", N: 6},
-			spec.GraphSpec{Family: "path", N: 5},
-			spec.GraphSpec{Family: "star", N: 5},
-			spec.GraphSpec{Family: "grid", N: 9, Rows: 3},
-			spec.GraphSpec{Family: "hypercube", N: 3},
-			spec.GraphSpec{Family: "gnp", N: 8, P: 0.3, Seed: 5},
-		).
-		Teams(
-			spec.Team{Labels: []int{1, 2}, Starts: []int{0, 1}},
-			spec.Team{Labels: []int{1, 2}, Starts: []int{0, 2}},
-			spec.Team{Labels: []int{3, 5, 9}, Starts: []int{0, 2, 4}},
-			spec.Team{Labels: []int{2, 7}, Starts: []int{0, 4}, Wakes: []int{0, 9}},
-			spec.Team{Labels: []int{1, 2, 3}, Starts: []int{1, 2, 3}},
-			spec.Team{Labels: []int{4, 6}, Starts: []int{0, 8}, Wakes: []int{0, sim.DormantUntilVisited}},
-			spec.Team{Labels: []int{1, 2}, Starts: []int{0, 7}},
-			spec.Team{Labels: []int{5, 11}, Starts: []int{0, 7}},
-		)
+	def := spec.SweepDef{
+		Zip:  true,
+		Name: "E1-{i}-{family}",
+		Graphs: []spec.GraphSpec{
+			{Family: "two"},
+			{Family: "ring", N: 4},
+			{Family: "ring", N: 6},
+			{Family: "path", N: 5},
+			{Family: "star", N: 5},
+			{Family: "grid", N: 9, Rows: 3},
+			{Family: "hypercube", N: 3},
+			{Family: "gnp", N: 8, P: 0.3, Seed: 5},
+		},
+		Teams: []spec.Team{
+			{Labels: []int{1, 2}, Starts: []int{0, 1}},
+			{Labels: []int{1, 2}, Starts: []int{0, 2}},
+			{Labels: []int{3, 5, 9}, Starts: []int{0, 2, 4}},
+			{Labels: []int{2, 7}, Starts: []int{0, 4}, Wakes: []int{0, 9}},
+			{Labels: []int{1, 2, 3}, Starts: []int{1, 2, 3}},
+			{Labels: []int{4, 6}, Starts: []int{0, 8}, Wakes: []int{0, sim.DormantUntilVisited}},
+			{Labels: []int{1, 2}, Starts: []int{0, 7}},
+			{Labels: []int{5, 11}, Starts: []int{0, 7}},
+		},
+	}
 	if scale == Full {
-		sw.Graphs(
+		def.Graphs = append(def.Graphs,
 			spec.GraphSpec{Family: "ring", N: 8},
 			spec.GraphSpec{Family: "torus", N: 9, Rows: 3},
 			spec.GraphSpec{Family: "tree", N: 9, Seed: 3},
 			spec.GraphSpec{Family: "complete", N: 6},
 			spec.GraphSpec{Family: "barbell", N: 3, Tail: 2},
 			spec.GraphSpec{Family: "lollipop", N: 4, Tail: 3},
-		).Teams(
+		)
+		def.Teams = append(def.Teams,
 			spec.Team{Labels: []int{1, 2, 3, 4}, Starts: []int{0, 2, 4, 6}},
 			spec.Team{Labels: []int{2, 9}, Starts: []int{0, 4}},
 			spec.Team{Labels: []int{6, 8}, Starts: []int{0, 8}, Wakes: []int{0, 25}},
@@ -151,7 +154,7 @@ func E1Correctness(scale Scale) (*trace.Table, error) {
 			spec.Team{Labels: []int{2, 3}, Starts: []int{0, 6}},
 		)
 	}
-	specs, scs, rounds, leaders, _, err := runSweep(sw)
+	specs, scs, rounds, leaders, _, err := runSweep(def)
 	if err != nil {
 		return nil, err
 	}
@@ -174,15 +177,14 @@ func E2TimeVsN(scale Scale) (*trace.Table, error) {
 	}
 	// The graph axis pairs each size's ring with a same-size random graph
 	// seeded by n; the single two-agent team spreads to antipodal starts.
-	sw := spec.NewSweep().Name("E2-{family}-n{n}").
-		Teams(spec.Team{Labels: []int{1, 2}})
+	def := spec.SweepDef{Name: "E2-{family}-n{n}", Teams: []spec.Team{{Labels: []int{1, 2}}}}
 	for _, n := range sizes {
-		sw.Graphs(
+		def.Graphs = append(def.Graphs,
 			spec.GraphSpec{Family: "ring", N: n},
 			spec.GraphSpec{Family: "gnp", N: n, P: 0.3, Seed: int64(n)},
 		)
 	}
-	_, scs, rounds, _, seqs, err := runSweep(sw)
+	_, scs, rounds, _, seqs, err := runSweep(def)
 	if err != nil {
 		return nil, err
 	}
@@ -203,11 +205,11 @@ func E3TimeVsLabelLength(scale Scale) (*trace.Table, error) {
 	if scale == Full {
 		smallest = append(smallest, 129, 1025)
 	}
-	sw := spec.NewSweep().Name("E3-l{i}").Graphs(spec.GraphSpec{Family: "ring", N: 6})
+	def := spec.SweepDef{Name: "E3-l{i}", Graphs: []spec.GraphSpec{{Family: "ring", N: 6}}}
 	for _, l := range smallest {
-		sw.Teams(spec.Team{Labels: []int{l, l + 1}, Starts: []int{0, 3}})
+		def.Teams = append(def.Teams, spec.Team{Labels: []int{l, l + 1}, Starts: []int{0, 3}})
 	}
-	_, _, rounds, _, _, err := runSweep(sw)
+	_, _, rounds, _, _, err := runSweep(def)
 	if err != nil {
 		return nil, err
 	}
@@ -230,10 +232,11 @@ func E4TimeVsTeamSize(scale Scale) (*trace.Table, error) {
 	for k := 2; k <= maxK; k++ {
 		ks = append(ks, k)
 	}
-	sw := spec.NewSweep().Name("E4-k{k}").
-		Graphs(spec.GraphSpec{Family: "ring", N: 8}).
-		TeamSizes(ks...)
-	specs, _, rounds, leaders, _, err := runSweep(sw)
+	specs, _, rounds, leaders, _, err := runSweep(spec.SweepDef{
+		Name:      "E4-k{k}",
+		Graphs:    []spec.GraphSpec{{Family: "ring", N: 8}},
+		TeamSizes: ks,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -310,28 +313,32 @@ func E6ChatterOverhead(scale Scale) (*trace.Table, error) {
 		"graph", "k", "chatter-free rounds", "talking rounds", "overhead")
 	// The algorithm axis runs every case twice — chatter-free, then the
 	// talking baseline — so the comparison is one sweep, not two code paths.
-	sw := spec.NewSweep().Zip().Name("E6-{i}-{family}-{algo}").
-		Algorithms(spec.Known(), spec.Baseline()).
-		Graphs(
-			spec.GraphSpec{Family: "ring", N: 6},
-			spec.GraphSpec{Family: "grid", N: 9, Rows: 3},
-		).
-		Teams(
-			spec.Team{Labels: []int{5, 9}, Starts: []int{0, 3}},
-			spec.Team{Labels: []int{2, 7}, Starts: []int{0, 8}},
-		)
+	def := spec.SweepDef{
+		Zip:        true,
+		Name:       "E6-{i}-{family}-{algo}",
+		Algorithms: []spec.AlgorithmSpec{spec.Known(), spec.Baseline()},
+		Graphs: []spec.GraphSpec{
+			{Family: "ring", N: 6},
+			{Family: "grid", N: 9, Rows: 3},
+		},
+		Teams: []spec.Team{
+			{Labels: []int{5, 9}, Starts: []int{0, 3}},
+			{Labels: []int{2, 7}, Starts: []int{0, 8}},
+		},
+	}
 	if scale == Full {
-		sw.Graphs(
+		def.Graphs = append(def.Graphs,
 			spec.GraphSpec{Family: "ring", N: 10},
 			spec.GraphSpec{Family: "hypercube", N: 3},
 			spec.GraphSpec{Family: "gnp", N: 10, P: 0.3, Seed: 7},
-		).Teams(
+		)
+		def.Teams = append(def.Teams,
 			spec.Team{Labels: []int{3, 4, 8}, Starts: []int{0, 3, 6}},
 			spec.Team{Labels: []int{1, 6}, Starts: []int{0, 7}},
 			spec.Team{Labels: []int{2, 5, 11}, Starts: []int{0, 4, 9}},
 		)
 	}
-	specs, scs, rounds, _, _, err := runSweep(sw)
+	specs, scs, rounds, _, _, err := runSweep(def)
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +380,7 @@ func E7GossipVsMessageLen(scale Scale) (*trace.Table, error) {
 		}
 		msgs[ci] = string(msg)
 		// Per-agent algorithm parameters (each agent gossips its own
-		// message) are the hand-built spec form, below the Sweep axes.
+		// message) are the hand-built spec form, below the SweepDef axes.
 		sc, err := spec.ScenarioSpec{
 			Name:  fmt.Sprintf("E7-len%d", ln),
 			Graph: spec.GraphSpec{Family: "ring", N: 4},
@@ -448,27 +455,31 @@ func E9LeaderElection(scale Scale) (*trace.Table, error) {
 	t := trace.NewTable(
 		"E9 — leader election by-product: unique leader from the team, known to all",
 		"graph", "labels", "leader", "unanimous")
-	sw := spec.NewSweep().Zip().Name("E9-{i}-{family}").
-		Graphs(
-			spec.GraphSpec{Family: "ring", N: 5},
-			spec.GraphSpec{Family: "star", N: 5},
-			spec.GraphSpec{Family: "grid", N: 6, Rows: 2},
-		).
-		Teams(
-			spec.Team{Labels: []int{9, 4}, Starts: []int{0, 2}},
-			spec.Team{Labels: []int{7, 2, 5}, Starts: []int{0, 1, 2}},
-			spec.Team{Labels: []int{12, 30}, Starts: []int{0, 5}},
-		)
+	def := spec.SweepDef{
+		Zip:  true,
+		Name: "E9-{i}-{family}",
+		Graphs: []spec.GraphSpec{
+			{Family: "ring", N: 5},
+			{Family: "star", N: 5},
+			{Family: "grid", N: 6, Rows: 2},
+		},
+		Teams: []spec.Team{
+			{Labels: []int{9, 4}, Starts: []int{0, 2}},
+			{Labels: []int{7, 2, 5}, Starts: []int{0, 1, 2}},
+			{Labels: []int{12, 30}, Starts: []int{0, 5}},
+		},
+	}
 	if scale == Full {
-		sw.Graphs(
+		def.Graphs = append(def.Graphs,
 			spec.GraphSpec{Family: "ring", N: 9},
 			spec.GraphSpec{Family: "hypercube", N: 3},
-		).Teams(
+		)
+		def.Teams = append(def.Teams,
 			spec.Team{Labels: []int{21, 14, 35}, Starts: []int{0, 3, 6}},
 			spec.Team{Labels: []int{6, 10, 12, 18}, Starts: []int{0, 3, 5, 7}},
 		)
 	}
-	specs, scs, _, leaders, _, err := runSweep(sw)
+	specs, scs, _, leaders, _, err := runSweep(def)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 
 func sweepSpecs(t *testing.T, n int) []spec.ScenarioSpec {
 	t.Helper()
-	specs, err := spec.NewSweep().Families("ring").Sizes(6, 8, 10, 12).TeamSizes(2).Specs()
+	specs, err := spec.SweepDef{Families: []string{"ring"}, Sizes: []int{6, 8, 10, 12}, TeamSizes: []int{2}}.Specs()
 	if err != nil {
 		t.Fatal(err)
 	}

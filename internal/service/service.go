@@ -520,10 +520,9 @@ func (s *Service) submitSweep(def spec.SweepDef, summaryOnly bool) (JobStatus, e
 		}
 	}
 	limit := s.cfg.MaxSweepSpecs
-	// The explicit list plus the product of the axis lengths bounds (and,
-	// filters being absent from definitions, equals) the spec count, so an
-	// over-limit sweep is rejected arithmetically — before even the graph
-	// axis materializes.
+	// The explicit list plus the product of the axis lengths equals the
+	// spec count, so an over-limit sweep is rejected arithmetically —
+	// before even the graph axis materializes.
 	graphs := addCapped(len(def.Graphs), mulCapped(len(def.Families), len(def.Sizes), limit), limit)
 	teams := addCapped(len(def.Teams), len(def.TeamSizes), limit)
 	product := mulCapped(graphs, teams, limit)

@@ -126,7 +126,7 @@ func TestJobSummaryEndpoint(t *testing.T) {
 // parallelism 1 the job's fold runs on the job worker's goroutine, at 4 on
 // a pool of its own.
 func TestJobSummaryMatchesLocalFold(t *testing.T) {
-	specs, err := summarySweepDef().Sweep().Specs()
+	specs, err := summarySweepDef().Specs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestSummaryOfUnfinishedJob(t *testing.T) {
 func TestFailedJobSummaryRefusesDespiteCache(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
-	specs, err := summarySweepDef().Sweep().Specs()
+	specs, err := summarySweepDef().Specs()
 	if err != nil {
 		t.Fatal(err)
 	}

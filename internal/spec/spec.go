@@ -16,10 +16,12 @@
 // know N" — are constructed once per compilation and handed to every
 // program builder through Artifacts.
 //
-// On top of single specs, Sweep (sweep.go) composes cartesian products of
-// graph families, sizes, teams, wake schedules and algorithms into streams
-// of specs — the declarative form of the scenario sweeps that used to be
-// hand-rolled loops in internal/experiments.
+// On top of single specs, SweepDef is a whole sweep as data: cartesian
+// products of graphs, teams, wake schedules and algorithms, plus an
+// optional explicit spec list, which SweepDef.Specs expands in a fixed
+// order. It is the one sweep type — the Go literal experiments and
+// examples write, and the JSON document POST /v1/sweeps, gathersim -sweep
+// and fleet chunks carry.
 package spec
 
 import (

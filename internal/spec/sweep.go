@@ -27,189 +27,88 @@ func TeamOfSize(k int) Team {
 	return Team{Labels: labels, Starts: starts}
 }
 
-// Sweep composes scenario specs from axes: graphs (explicit GraphSpecs
-// and/or a families × sizes product), teams, optional wake-schedule
-// overrides and algorithms. By default the axes multiply cartesianly in
-// fixed order (graphs outermost, algorithms innermost); Zip pairs the
-// graph and team axes index-wise instead, for case lists like experiment
-// E1 where each graph comes with its own team.
-//
-// A Sweep yields ScenarioSpecs — pure data — so a sweep definition is three
-// lines of configuration, and everything downstream (compilation, batching,
-// streaming) is shared machinery:
-//
-//	specs, err := spec.NewSweep().
-//		Families("ring", "gnp").Sizes(8, 16, 32).
-//		Teams(spec.Team{Labels: []int{1, 2}}).
-//		Name("sweep-{family}-n{n}-k{k}").
-//		Specs()
-type Sweep struct {
-	name      string
-	graphs    []GraphSpec
-	families  []string
-	sizes     []int
-	teams     []Team
-	wakes     [][]int
-	algos     []AlgorithmSpec
-	maxRounds int
-	zip       bool
-	filters   []func(ScenarioSpec) bool
-	err       error // deferred construction error; Each surfaces it
-}
-
-// NewSweep returns an empty sweep; add axes with the chainable setters.
-func NewSweep() *Sweep { return &Sweep{} }
-
-// fail marks the sweep broken; Each (and so Specs) will return err instead
-// of expanding. Construction paths that must not panic on untrusted input
-// (SweepDef.Sweep) use it to defer their validation error.
-func (s *Sweep) fail(err error) *Sweep {
-	if s.err == nil {
-		s.err = err
+// Specs expands the definition into its scenario specs, in a fixed order:
+// the Explicit list first, then the axis product with graphs outermost
+// (Graphs, then Families × Sizes), then teams (Teams, then TeamSizes),
+// then wake schedules, and algorithms innermost. Zip pairs the graph and
+// team axes index-wise instead of multiplying them. A definition with
+// explicit specs and no axis field expands to a copy of that list; one
+// with neither fails for want of graphs.
+func (d SweepDef) Specs() ([]ScenarioSpec, error) {
+	if len(d.Explicit) > 0 && len(d.Graphs)+len(d.Families)+len(d.Sizes)+len(d.Teams)+
+		len(d.TeamSizes)+len(d.Wakes)+len(d.Algorithms) == 0 {
+		return append([]ScenarioSpec(nil), d.Explicit...), nil
 	}
-	return s
-}
-
-// Name sets the spec-name template. Placeholders {i}, {family}, {n}, {k},
-// {algo} and {wake} expand per generated spec ({wake} is the index into the
-// wake-schedule axis, 0 without one).
-func (s *Sweep) Name(template string) *Sweep { s.name = template; return s }
-
-// Graphs appends explicit graph specs to the graph axis.
-func (s *Sweep) Graphs(gs ...GraphSpec) *Sweep { s.graphs = append(s.graphs, gs...); return s }
-
-// Families sets the family half of the families × sizes product, appended
-// to the graph axis after any explicit Graphs.
-func (s *Sweep) Families(fams ...string) *Sweep { s.families = append(s.families, fams...); return s }
-
-// Sizes sets the size half of the families × sizes product.
-func (s *Sweep) Sizes(ns ...int) *Sweep { s.sizes = append(s.sizes, ns...); return s }
-
-// Teams appends teams to the team axis.
-func (s *Sweep) Teams(ts ...Team) *Sweep { s.teams = append(s.teams, ts...); return s }
-
-// TeamSizes appends canonical teams (labels 1..k at nodes 0..k-1) for each
-// size to the team axis.
-func (s *Sweep) TeamSizes(ks ...int) *Sweep {
-	for _, k := range ks {
-		s.teams = append(s.teams, TeamOfSize(k))
-	}
-	return s
-}
-
-// WakeSchedules adds a wake-schedule axis: each schedule overrides the
-// team's own Wakes (lengths must match the team size; nil restores the
-// team's default).
-func (s *Sweep) WakeSchedules(ws ...[]int) *Sweep { s.wakes = append(s.wakes, ws...); return s }
-
-// Algorithms sets the algorithm axis; every agent of a generated spec runs
-// the same algorithm. Omitting it selects Known. Per-agent algorithms
-// (gossip messages) are a property of Teams-less hand-built specs, not of
-// sweeps.
-func (s *Sweep) Algorithms(as ...AlgorithmSpec) *Sweep { s.algos = append(s.algos, as...); return s }
-
-// MaxRounds sets the round budget of every generated spec.
-func (s *Sweep) MaxRounds(n int) *Sweep { s.maxRounds = n; return s }
-
-// Zip pairs the graph and team axes index-wise (they must have equal
-// lengths) instead of multiplying them.
-func (s *Sweep) Zip() *Sweep { s.zip = true; return s }
-
-// Filter keeps only specs for which keep returns true; multiple filters
-// conjoin.
-func (s *Sweep) Filter(keep func(ScenarioSpec) bool) *Sweep {
-	s.filters = append(s.filters, keep)
-	return s
-}
-
-// graphAxis materializes explicit graphs plus the families × sizes product.
-func (s *Sweep) graphAxis() []GraphSpec {
-	out := append([]GraphSpec{}, s.graphs...)
-	for _, fam := range s.families {
-		for _, n := range s.sizes {
-			out = append(out, GraphSpec{Family: fam, N: n})
+	// Definitions arrive as untrusted JSON: a bad team size is an error,
+	// never a panic in TeamOfSize.
+	for _, k := range d.TeamSizes {
+		if k < 1 {
+			return nil, fmt.Errorf("spec: sweep team size %d is not positive", k)
 		}
 	}
-	return out
-}
-
-// Each generates the sweep's specs in deterministic order and hands each to
-// yield; returning false stops early. It streams: nothing is materialized
-// beyond the spec under construction.
-func (s *Sweep) Each(yield func(ScenarioSpec) bool) error {
-	if s.err != nil {
-		return s.err
+	graphs := append([]GraphSpec(nil), d.Graphs...)
+	for _, fam := range d.Families {
+		for _, n := range d.Sizes {
+			graphs = append(graphs, GraphSpec{Family: fam, N: n})
+		}
 	}
-	graphs := s.graphAxis()
+	teams := append([]Team(nil), d.Teams...)
+	for _, k := range d.TeamSizes {
+		teams = append(teams, TeamOfSize(k))
+	}
 	if len(graphs) == 0 {
-		return fmt.Errorf("spec: sweep has no graphs (use Graphs or Families+Sizes)")
+		return nil, fmt.Errorf("spec: sweep has no graphs (use Graphs or Families+Sizes)")
 	}
-	if len(s.teams) == 0 {
-		return fmt.Errorf("spec: sweep has no teams (use Teams or TeamSizes)")
+	if len(teams) == 0 {
+		return nil, fmt.Errorf("spec: sweep has no teams (use Teams or TeamSizes)")
 	}
-	if s.zip && len(graphs) != len(s.teams) {
-		return fmt.Errorf("spec: Zip needs equally long graph and team axes, got %d graphs and %d teams",
-			len(graphs), len(s.teams))
+	if d.Zip && len(graphs) != len(teams) {
+		return nil, fmt.Errorf("spec: Zip needs equally long graph and team axes, got %d graphs and %d teams",
+			len(graphs), len(teams))
 	}
-	wakes := s.wakes
+	wakes := d.Wakes
 	if len(wakes) == 0 {
 		wakes = [][]int{nil}
 	}
-	algos := s.algos
+	algos := d.Algorithms
 	if len(algos) == 0 {
 		algos = []AlgorithmSpec{Known()}
 	}
-	i := 0
-	emit := func(gs GraphSpec, team Team) (bool, error) {
+	out := append([]ScenarioSpec(nil), d.Explicit...)
+	i := 0 // axis spec index, the {i} placeholder
+	emit := func(gs GraphSpec, team Team) error {
 		// Spread starts depend only on (graph, team): resolve them once,
 		// not per wake × algorithm combination.
 		starts, err := resolveStarts(gs, team)
 		if err != nil {
-			return false, err
+			return err
 		}
 		for wi, wake := range wakes {
 			for _, algo := range algos {
-				sp, err := s.buildSpec(gs, team, starts, wake, algo, i, wi)
+				sp, err := d.buildSpec(gs, team, starts, wake, algo, i, wi)
 				if err != nil {
-					return false, err
+					return err
 				}
+				out = append(out, sp)
 				i++
-				if !s.keep(sp) {
-					continue
-				}
-				if !yield(sp) {
-					return false, nil
-				}
-			}
-		}
-		return true, nil
-	}
-	if s.zip {
-		for gi, gs := range graphs {
-			if cont, err := emit(gs, s.teams[gi]); !cont || err != nil {
-				return err
 			}
 		}
 		return nil
 	}
-	for _, gs := range graphs {
-		for _, team := range s.teams {
-			if cont, err := emit(gs, team); !cont || err != nil {
-				return err
+	for gi, gs := range graphs {
+		if d.Zip {
+			if err := emit(gs, teams[gi]); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		for _, team := range teams {
+			if err := emit(gs, team); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return nil
-}
-
-// Specs materializes the whole sweep as a slice.
-func (s *Sweep) Specs() ([]ScenarioSpec, error) {
-	var out []ScenarioSpec
-	err := s.Each(func(sp ScenarioSpec) bool {
-		out = append(out, sp)
-		return true
-	})
-	return out, err
+	return out, nil
 }
 
 // SpreadStarts returns the default start placement for a k-agent team on
@@ -246,8 +145,9 @@ func resolveStarts(gs GraphSpec, team Team) ([]int, error) {
 	return SpreadStarts(gs, len(team.Labels))
 }
 
-// buildSpec assembles one spec of the product.
-func (s *Sweep) buildSpec(gs GraphSpec, team Team, starts []int, wake []int, algo AlgorithmSpec, i, wi int) (ScenarioSpec, error) {
+// buildSpec assembles one spec of the product; a nil wake keeps the team's
+// own Wakes.
+func (d SweepDef) buildSpec(gs GraphSpec, team Team, starts []int, wake []int, algo AlgorithmSpec, i, wi int) (ScenarioSpec, error) {
 	k := len(team.Labels)
 	if k == 0 {
 		return ScenarioSpec{}, fmt.Errorf("spec: sweep team %v has no labels", team)
@@ -268,20 +168,11 @@ func (s *Sweep) buildSpec(gs GraphSpec, team Team, starts []int, wake []int, alg
 		agents[j] = AgentSpec{Label: team.Labels[j], Start: starts[j], Wake: w, Algorithm: algo}
 	}
 	return ScenarioSpec{
-		Name:      expandName(s.name, gs, k, algo, i, wi),
+		Name:      expandName(d.Name, gs, k, algo, i, wi),
 		Graph:     gs,
 		Agents:    agents,
-		MaxRounds: s.maxRounds,
+		MaxRounds: d.MaxRounds,
 	}, nil
-}
-
-func (s *Sweep) keep(sp ScenarioSpec) bool {
-	for _, f := range s.filters {
-		if !f(sp) {
-			return false
-		}
-	}
-	return true
 }
 
 // expandName fills the {placeholder}s of a name template.

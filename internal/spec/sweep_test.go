@@ -8,12 +8,13 @@ import (
 )
 
 func TestSweepCartesianOrderAndNames(t *testing.T) {
-	specs, err := NewSweep().
-		Families("ring", "path").Sizes(4, 6).
-		Teams(Team{Labels: []int{1, 2}}).
-		Algorithms(Known(), Gossip("1")).
-		Name("{family}-n{n}-k{k}-{algo}").
-		Specs()
+	specs, err := SweepDef{
+		Families:   []string{"ring", "path"},
+		Sizes:      []int{4, 6},
+		Teams:      []Team{{Labels: []int{1, 2}}},
+		Algorithms: []AlgorithmSpec{Known(), Gossip("1")},
+		Name:       "{family}-n{n}-k{k}-{algo}",
+	}.Specs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +36,10 @@ func TestSweepCartesianOrderAndNames(t *testing.T) {
 }
 
 func TestSweepSpreadStarts(t *testing.T) {
-	specs, err := NewSweep().
-		Graphs(GraphSpec{Family: "ring", N: 8}).
-		Teams(Team{Labels: []int{1, 2}}).
-		Specs()
+	specs, err := SweepDef{
+		Graphs: []GraphSpec{{Family: "ring", N: 8}},
+		Teams:  []Team{{Labels: []int{1, 2}}},
+	}.Specs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,33 +50,35 @@ func TestSweepSpreadStarts(t *testing.T) {
 }
 
 func TestSweepZip(t *testing.T) {
-	specs, err := NewSweep().Zip().
-		Graphs(GraphSpec{Family: "ring", N: 4}, GraphSpec{Family: "path", N: 5}).
-		Teams(
-			Team{Labels: []int{1, 2}, Starts: []int{0, 2}},
-			Team{Labels: []int{3, 4, 5}, Starts: []int{0, 2, 4}},
-		).
-		Specs()
+	specs, err := SweepDef{
+		Zip:    true,
+		Graphs: []GraphSpec{{Family: "ring", N: 4}, {Family: "path", N: 5}},
+		Teams: []Team{
+			{Labels: []int{1, 2}, Starts: []int{0, 2}},
+			{Labels: []int{3, 4, 5}, Starts: []int{0, 2, 4}},
+		},
+	}.Specs()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(specs) != 2 || len(specs[0].Agents) != 2 || len(specs[1].Agents) != 3 {
 		t.Fatalf("zip did not pair axes index-wise: %+v", specs)
 	}
-	if _, err := NewSweep().Zip().
-		Graphs(GraphSpec{Family: "ring", N: 4}).
-		Teams(Team{Labels: []int{1}}, Team{Labels: []int{2}}).
-		Specs(); err == nil || !strings.Contains(err.Error(), "equally long") {
+	if _, err := (SweepDef{
+		Zip:    true,
+		Graphs: []GraphSpec{{Family: "ring", N: 4}},
+		Teams:  []Team{{Labels: []int{1}}, {Labels: []int{2}}},
+	}).Specs(); err == nil || !strings.Contains(err.Error(), "equally long") {
 		t.Errorf("zip length mismatch not rejected: %v", err)
 	}
 }
 
 func TestSweepWakeSchedulesAndTeamSizes(t *testing.T) {
-	specs, err := NewSweep().
-		Graphs(GraphSpec{Family: "ring", N: 8}).
-		TeamSizes(2).
-		WakeSchedules(nil, []int{0, 9}, []int{0, sim.DormantUntilVisited}).
-		Specs()
+	specs, err := SweepDef{
+		Graphs:    []GraphSpec{{Family: "ring", N: 8}},
+		TeamSizes: []int{2},
+		Wakes:     [][]int{nil, {0, 9}, {0, sim.DormantUntilVisited}},
+	}.Specs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,42 +96,11 @@ func TestSweepWakeSchedulesAndTeamSizes(t *testing.T) {
 	}
 }
 
-func TestSweepFilter(t *testing.T) {
-	specs, err := NewSweep().
-		Families("ring").Sizes(4, 6, 8, 10).
-		Teams(Team{Labels: []int{1, 2}}).
-		Filter(func(sp ScenarioSpec) bool { return sp.Graph.N >= 8 }).
-		Specs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 2 || specs[0].Graph.N != 8 || specs[1].Graph.N != 10 {
-		t.Errorf("filter kept %+v", specs)
-	}
-}
-
-func TestSweepEachStopsEarly(t *testing.T) {
-	n := 0
-	err := NewSweep().
-		Families("ring").Sizes(4, 6, 8, 10).
-		Teams(Team{Labels: []int{1, 2}}).
-		Each(func(ScenarioSpec) bool {
-			n++
-			return n < 2
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("yield called %d times after stop at 2", n)
-	}
-}
-
 func TestSweepEmptyAxesRejected(t *testing.T) {
-	if _, err := NewSweep().Teams(Team{Labels: []int{1}}).Specs(); err == nil {
+	if _, err := (SweepDef{Teams: []Team{{Labels: []int{1}}}}).Specs(); err == nil {
 		t.Error("sweep without graphs not rejected")
 	}
-	if _, err := NewSweep().Families("ring").Sizes(4).Specs(); err == nil {
+	if _, err := (SweepDef{Families: []string{"ring"}, Sizes: []int{4}}).Specs(); err == nil {
 		t.Error("sweep without teams not rejected")
 	}
 }
@@ -136,11 +108,12 @@ func TestSweepEmptyAxesRejected(t *testing.T) {
 // TestSweepSpecsCompileAndGather is the end-to-end check: a sweep's specs
 // compile and the compiled scenarios actually gather.
 func TestSweepSpecsCompileAndGather(t *testing.T) {
-	specs, err := NewSweep().
-		Families("ring", "star").Sizes(4, 5).
-		Teams(Team{Labels: []int{2, 7}}).
-		Name("sweep-{family}-{n}").
-		Specs()
+	specs, err := SweepDef{
+		Families: []string{"ring", "star"},
+		Sizes:    []int{4, 5},
+		Teams:    []Team{{Labels: []int{2, 7}}},
+		Name:     "sweep-{family}-{n}",
+	}.Specs()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,17 +6,28 @@ import (
 	"fmt"
 )
 
-// SweepDef is the JSON-serializable form of a Sweep: the same axes the
-// builder composes, as pure data, so a whole sweep — not just its expanded
-// specs — can be saved, submitted over HTTP (POST /v1/sweeps) and replayed.
-// Filters are the one builder feature with no data form (they are opaque Go
-// predicates); a Sweep carrying filters refuses to serialize.
+// SweepDef is a sweep as data: axes of graphs, teams, wake schedules and
+// algorithms whose product Specs expands into scenario specs, plus an
+// optional explicit spec list. It is the one sweep type: experiments and
+// examples write it as a Go literal, POST /v1/sweeps and gathersim -sweep
+// read it as JSON, and fleet chunks travel as SweepDef{Explicit: …}, so a
+// whole sweep can be saved, submitted and replayed.
+//
+//	specs, err := spec.SweepDef{
+//		Families: []string{"ring", "gnp"},
+//		Sizes:    []int{8, 16, 32},
+//		Teams:    []spec.Team{{Labels: []int{1, 2}}},
+//		Name:     "sweep-{family}-n{n}-k{k}",
+//	}.Specs()
 type SweepDef struct {
-	// Name is the per-spec name template (see Sweep.Name placeholders). It
-	// applies to axis-generated specs only; Explicit specs keep their own.
+	// Name is the per-spec name template. The placeholders {i}, {family},
+	// {n}, {k}, {algo} and {wake} expand per generated spec ({i} counts
+	// the axis specs from 0; {wake} is the index into Wakes, 0 without
+	// one). It applies to axis-generated specs only; Explicit specs keep
+	// their own.
 	Name string `json:"name,omitempty"`
 	// Explicit lists fully-built scenario specs, emitted before any axis
-	// expansion. It is how an arbitrary spec list — one a builder cannot
+	// expansion. It is how an arbitrary spec list — one the axes cannot
 	// express, such as a contiguous shard of another sweep's expansion
 	// (internal/cluster) — travels as a sweep document.
 	Explicit []ScenarioSpec `json:"specs,omitempty"`
@@ -27,69 +38,21 @@ type SweepDef struct {
 	Sizes    []int       `json:"sizes,omitempty"`
 	// Teams lists explicit teams; TeamSizes appends canonical k-agent
 	// teams (labels 1..k at nodes 0..k-1) after them.
-	Teams     []Team  `json:"teams,omitempty"`
-	TeamSizes []int   `json:"team_sizes,omitempty"`
-	Wakes     [][]int `json:"wakes,omitempty"`
-	// Algorithms is the algorithm axis; empty selects Known.
+	Teams     []Team `json:"teams,omitempty"`
+	TeamSizes []int  `json:"team_sizes,omitempty"`
+	// Wakes is the wake-schedule axis: each schedule overrides the team's
+	// own Wakes (its length must match the team size; nil keeps the
+	// team's).
+	Wakes [][]int `json:"wakes,omitempty"`
+	// Algorithms is the algorithm axis; every agent of a generated spec
+	// runs the same algorithm, and empty selects Known. Per-agent
+	// algorithms (gossip messages) are a property of hand-built specs.
 	Algorithms []AlgorithmSpec `json:"algorithms,omitempty"`
-	MaxRounds  int             `json:"max_rounds,omitempty"`
-	// Zip pairs the graph and team axes index-wise instead of multiplying.
+	// MaxRounds is the round budget of every generated spec.
+	MaxRounds int `json:"max_rounds,omitempty"`
+	// Zip pairs the graph and team axes index-wise (they must have equal
+	// lengths) instead of multiplying them.
 	Zip bool `json:"zip,omitempty"`
-}
-
-// Validate rejects definition values the builder would panic on rather
-// than error: SweepDefs arrive from untrusted JSON, so bad values are user
-// input. Sweep and Specs call it; axis-level errors (no graphs, length
-// mismatches) still surface at expansion time as with the builder.
-func (d SweepDef) Validate() error {
-	for _, k := range d.TeamSizes {
-		if k < 1 {
-			return fmt.Errorf("spec: sweep team size %d is not positive", k)
-		}
-	}
-	return nil
-}
-
-// Sweep builds the live sweep the definition's axes describe; Explicit
-// specs have no builder form and are not part of it — expand through Specs
-// to get them too.
-func (d SweepDef) Sweep() *Sweep {
-	if err := d.Validate(); err != nil {
-		return NewSweep().fail(err)
-	}
-	s := NewSweep().Name(d.Name).
-		Graphs(d.Graphs...).Families(d.Families...).Sizes(d.Sizes...).
-		Teams(d.Teams...).TeamSizes(d.TeamSizes...).
-		WakeSchedules(d.Wakes...).Algorithms(d.Algorithms...).
-		MaxRounds(d.MaxRounds)
-	if d.Zip {
-		s.Zip()
-	}
-	return s
-}
-
-// Specs expands the definition into its scenario specs: the Explicit list
-// first, then the axis product. A definition with neither explicit specs
-// nor axes fails like an axis-less builder sweep would.
-func (d SweepDef) Specs() ([]ScenarioSpec, error) {
-	if len(d.Explicit) > 0 && !d.hasAxes() {
-		return append([]ScenarioSpec(nil), d.Explicit...), nil
-	}
-	expanded, err := d.Sweep().Specs()
-	if err != nil {
-		return nil, err
-	}
-	if len(d.Explicit) == 0 {
-		return expanded, nil
-	}
-	return append(append([]ScenarioSpec(nil), d.Explicit...), expanded...), nil
-}
-
-// hasAxes reports whether any axis field is set — whether Sweep() has
-// anything to expand.
-func (d SweepDef) hasAxes() bool {
-	return len(d.Graphs)+len(d.Families)+len(d.Sizes)+len(d.Teams)+
-		len(d.TeamSizes)+len(d.Wakes)+len(d.Algorithms) > 0
 }
 
 // MarshalIndentJSON renders the definition as indented JSON.
@@ -116,25 +79,4 @@ func ParseSweepDef(data []byte) (SweepDef, error) {
 		return SweepDef{}, fmt.Errorf("spec: parse sweep: trailing content after the sweep definition")
 	}
 	return d, nil
-}
-
-// Def returns the sweep's serializable definition. It fails when the sweep
-// carries filters: a Go predicate has no data form, so a filtered sweep is
-// not round-trippable and silently dropping the filter would change the
-// generated specs.
-func (s *Sweep) Def() (SweepDef, error) {
-	if len(s.filters) > 0 {
-		return SweepDef{}, fmt.Errorf("spec: a sweep with filters has no serializable definition")
-	}
-	return SweepDef{
-		Name:       s.name,
-		Graphs:     s.graphs,
-		Families:   s.families,
-		Sizes:      s.sizes,
-		Teams:      s.teams,
-		Wakes:      s.wakes,
-		Algorithms: s.algos,
-		MaxRounds:  s.maxRounds,
-		Zip:        s.zip,
-	}, nil
 }

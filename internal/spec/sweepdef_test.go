@@ -16,28 +16,25 @@ func specsJSON(t *testing.T, sps []ScenarioSpec) string {
 	return string(buf)
 }
 
-// TestSweepDefRoundTrip proves a builder sweep survives the data form:
-// builder → Def → JSON → ParseSweepDef → Sweep generates the identical
-// spec list.
+// TestSweepDefRoundTrip proves a definition survives its wire form:
+// SweepDef → JSON → ParseSweepDef generates the identical spec list.
 func TestSweepDefRoundTrip(t *testing.T) {
-	s := NewSweep().
-		Name("rt-{family}-n{n}-k{k}-{algo}-w{wake}").
-		Families("ring", "path").Sizes(4, 6).
-		Graphs(GraphSpec{Family: "gnp", N: 8, P: 0.4, Seed: 7}).
-		Teams(Team{Labels: []int{3, 5, 7}, Starts: []int{0, 1, 2}}).
-		TeamSizes(3).
-		WakeSchedules(nil, []int{0, 1, 2}).
-		Algorithms(Known(), Randomized(1<<60+3, 0)).
-		MaxRounds(123)
-	want, err := s.Specs()
+	def := SweepDef{
+		Name:       "rt-{family}-n{n}-k{k}-{algo}-w{wake}",
+		Families:   []string{"ring", "path"},
+		Sizes:      []int{4, 6},
+		Graphs:     []GraphSpec{{Family: "gnp", N: 8, P: 0.4, Seed: 7}},
+		Teams:      []Team{{Labels: []int{3, 5, 7}, Starts: []int{0, 1, 2}}},
+		TeamSizes:  []int{3},
+		Wakes:      [][]int{nil, {0, 1, 2}},
+		Algorithms: []AlgorithmSpec{Known(), Randomized(1<<60+3, 0)},
+		MaxRounds:  123,
+	}
+	want, err := def.Specs()
 	if err != nil {
 		t.Fatalf("original sweep: %v", err)
 	}
 
-	def, err := s.Def()
-	if err != nil {
-		t.Fatalf("Def: %v", err)
-	}
 	buf, err := def.MarshalIndentJSON()
 	if err != nil {
 		t.Fatalf("marshal def: %v", err)
@@ -112,17 +109,6 @@ func TestSweepDefRejectsUnknownFields(t *testing.T) {
 	}
 	if _, err := ParseSweepDef([]byte(`{"families":["ring"]} trailing`)); err == nil {
 		t.Errorf("trailing content accepted")
-	}
-}
-
-// TestSweepWithFiltersHasNoDef pins the one deliberate serialization gap:
-// opaque filter predicates cannot be represented, so Def must refuse rather
-// than silently drop them.
-func TestSweepWithFiltersHasNoDef(t *testing.T) {
-	s := NewSweep().Families("ring").Sizes(4).TeamSizes(2).
-		Filter(func(ScenarioSpec) bool { return true })
-	if _, err := s.Def(); err == nil || !strings.Contains(err.Error(), "filters") {
-		t.Errorf("filtered sweep serialized: err=%v", err)
 	}
 }
 

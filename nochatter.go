@@ -98,8 +98,8 @@
 //	results := nochatter.RunBatch(scenarios, nochatter.WithParallelism(8))
 //
 // Parallelism never changes results: each run is deterministic and results
-// arrive in input order. NewSweep builds cartesian families × sizes × teams
-// × wake schedules × algorithms products of ScenarioSpecs declaratively
+// arrive in input order. A SweepDef declares cartesian families × sizes ×
+// teams × wake schedules × algorithms products of ScenarioSpecs as data
 // (see examples/batchsweep).
 //
 // # Streaming summaries
@@ -252,15 +252,14 @@ type (
 	// GraphBuilderFunc builds a graph family from its parameters; register
 	// one with RegisterGraphFamily.
 	GraphBuilderFunc = spec.GraphBuilderFunc
-	// Sweep composes cartesian products of graphs, teams, wake schedules
-	// and algorithms into streams of ScenarioSpecs.
-	Sweep = spec.Sweep
-	// SweepTeam is the team axis of a Sweep: labels plus optional starts
-	// and wakes.
-	SweepTeam = spec.Team
-	// SweepDef is the JSON-serializable form of a Sweep — the document
-	// POST /v1/sweeps accepts (Sweep.Def and SweepDef.Sweep convert).
+	// SweepDef is a sweep as data: cartesian products of graphs, teams,
+	// wake schedules and algorithms that SweepDef.Specs expands into
+	// ScenarioSpecs — written as a Go literal, or the JSON document POST
+	// /v1/sweeps and gathersim -sweep accept.
 	SweepDef = spec.SweepDef
+	// SweepTeam is the team axis of a SweepDef: labels plus optional
+	// starts and wakes.
+	SweepTeam = spec.Team
 )
 
 // Streaming sweep aggregation, re-exported from internal/agg and
@@ -436,8 +435,6 @@ var (
 	RegisterAlgorithm = spec.RegisterAlgorithm
 	// Algorithms lists the registered algorithm names.
 	Algorithms = spec.Algorithms
-	// NewSweep starts a declarative scenario sweep.
-	NewSweep = spec.NewSweep
 	// TeamOfSize returns the canonical k-agent team (labels 1..k at nodes
 	// 0..k-1).
 	TeamOfSize = spec.TeamOfSize

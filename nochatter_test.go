@@ -239,11 +239,12 @@ func TestPublicScenarioSpec(t *testing.T) {
 }
 
 func TestPublicSweepBatch(t *testing.T) {
-	specs, err := nochatter.NewSweep().
-		Families("ring").Sizes(4, 6).
-		Teams(nochatter.SweepTeam{Labels: []int{1, 2}}).
-		Name("pub-{n}").
-		Specs()
+	specs, err := nochatter.SweepDef{
+		Families: []string{"ring"},
+		Sizes:    []int{4, 6},
+		Teams:    []nochatter.SweepTeam{{Labels: []int{1, 2}}},
+		Name:     "pub-{n}",
+	}.Specs()
 	if err != nil {
 		t.Fatal(err)
 	}

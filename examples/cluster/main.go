@@ -10,9 +10,11 @@
 //
 //	go run ./examples/cluster
 //
-// Against real daemons the same code is just NewClusterWorker(url) per
-// backend; the daemons themselves would be `gatherd -addr :8081`,
-// `gatherd -addr :8082`, and a coordinator
+// The fleet API lives in internal/cluster and internal/sched, which this
+// example imports directly, as cmd/gatherd does. Against real daemons the
+// same code is just cluster.NewWorker(url) per backend; the daemons
+// themselves would be `gatherd -addr :8081`, `gatherd -addr :8082`, and a
+// coordinator
 // `gatherd -addr :8080 -workers http://localhost:8081,http://localhost:8082`.
 package main
 
@@ -27,6 +29,8 @@ import (
 	"os"
 
 	"nochatter"
+	"nochatter/internal/cluster"
+	"nochatter/internal/sched"
 )
 
 func main() {
@@ -37,11 +41,11 @@ func main() {
 }
 
 // bootWorker starts one in-process gatherd backend and returns its client.
-func bootWorker(cleanup *[]func()) *nochatter.ClusterWorker {
+func bootWorker(cleanup *[]func()) *cluster.Worker {
 	svc := nochatter.NewService(nochatter.ServiceConfig{})
 	srv := httptest.NewServer(svc.Handler())
 	*cleanup = append(*cleanup, srv.Close, svc.Close)
-	return nochatter.NewClusterWorker(srv.URL)
+	return cluster.NewWorker(srv.URL)
 }
 
 func run() error {
@@ -82,7 +86,7 @@ func run() error {
 	// function of the spec list and the scheduler configuration — the same
 	// sweep always plans identically, and the cost model gives expensive
 	// specs smaller chunks so idle workers can steal around them.
-	plan := nochatter.SchedPlanner{}.PlanSpecs(expanded, 2)
+	plan := sched.Planner{}.PlanSpecs(expanded, 2)
 	fmt.Printf("chunk plan:         %d specs → %d cost-balanced chunks for 2 workers\n",
 		len(expanded), len(plan))
 	for _, c := range plan[:3] {
@@ -91,7 +95,7 @@ func run() error {
 	fmt.Printf("  ... (%d more)\n", len(plan)-3)
 
 	w1, w2 := bootWorker(&cleanup), bootWorker(&cleanup)
-	coord := nochatter.NewClusterCoordinator(w1, w2)
+	coord := cluster.NewCoordinator(w1, w2)
 	merged, err := coord.SummarizeSpecs(context.Background(), expanded)
 	if err != nil {
 		return err

@@ -66,28 +66,9 @@
 // nothing to simulate — and it applies stretches of quiet rounds, in which
 // walkers only move along their memoized routes and no CurCard changes, in
 // bulk. RunResult.SteppedRounds reports the active rounds, fast-forwarded
-// quiet rounds included (DESIGN.md §2).
-//
-// Migration note: API.RunInterruptible(pred, block), the closure form that
-// pinned its agent to per-round stepping, is gone; RunUntil with a
-// declarative Condition is the only interrupt form. Replace predicates of
-// the form "CurCard() > c" with RunUntil(CardAtLeast(c+1), block), and
-// stability waits with WaitUntilFor(CardChanged(), d). Agent programs run
-// as coroutines the engine resumes once per instruction, never concurrently
-// with each other.
-//
-// Walks return no entry ports any more: WalkOffsets(xs, back) retraces the
-// last back of its moves itself, and both walks return only the smallest
-// CurCard observed. The old three-line EXPLO — entries, _ :=
-// a.WalkOffsets(xs); slices.Reverse(entries); a.WalkPorts(entries) —
-// becomes a.WalkOffsets(xs, len(xs)).
-//
-// A loop that submits a fixed schedule window by window — TZ(λ) waits and
-// explore windows, or wait, EXPLO, wait — becomes one RunSegments call over
-// a list built in a buffer the program reuses. The TZ(λ) window loop of
-// internal/tz is now a.RunSegments(s.Segments(buf[:0], rounds)), and a
-// Communicate step's min(start card, WalkOffsets minimum) is the run's
-// returned minimum, which includes each walk's start card.
+// quiet rounds included (DESIGN.md §2). Agent programs run as coroutines
+// the engine resumes once per instruction, never concurrently with each
+// other.
 //
 // # Batch runs
 //
@@ -136,20 +117,19 @@
 //
 // # Scaling out
 //
-// A fleet of gatherd daemons scales sweeps horizontally: a
-// ClusterCoordinator partitions a sweep's expanded specs into many small
-// cost-balanced chunks — a pure function of the spec list and the
-// scheduling parameters (SchedPlanner, SchedDefaultCost) — which each
-// ClusterWorker pulls and steals from a shared queue as summary-only
-// jobs, with failed chunks rerouted off workers that fail or go
-// unhealthy. Per-chunk summaries merge in fixed chunk order; because
+// A fleet of gatherd daemons scales sweeps horizontally. `gatherd -workers
+// http://a,http://b` makes a daemon a coordinator: it partitions a
+// sweep's expanded specs into cost-balanced chunks — a pure function of
+// the spec list — which the workers pull and steal from a shared queue as
+// summary-only jobs, with failed chunks rerouted off workers that fail or
+// go unhealthy. Per-chunk summaries merge in fixed chunk order; because
 // every reducer merges associatively and commutatively, the merged total
 // is bit-identical (CanonicalJSON) to a single-process run of the whole
 // sweep, whatever the fleet size, whichever workers died along the way
-// and whatever order chunks finished in. `gatherd -workers
-// http://a,http://b` serves the same fan-out behind POST
-// /v1/sweeps?summary=only, and `gathersim -remote` drives it from the CLI
-// (see examples/cluster and DESIGN.md §10, §12).
+// and whatever order chunks finished in. The coordinator serves this
+// behind POST /v1/sweeps?summary=only, and `gathersim -sweep def.json
+// -remote http://coordinator` drives it from the CLI (see examples/cluster
+// and DESIGN.md §10, §12).
 //
 // See README.md for the repository front door, DESIGN.md for the system
 // inventory, the documented substitutions (exploration sequences,
@@ -160,14 +140,12 @@ package nochatter
 import (
 	"nochatter/internal/agg"
 	"nochatter/internal/baseline"
-	"nochatter/internal/cluster"
 	"nochatter/internal/config"
 	"nochatter/internal/gather"
 	"nochatter/internal/gossip"
 	"nochatter/internal/graph"
 	"nochatter/internal/hist"
 	"nochatter/internal/randomized"
-	"nochatter/internal/sched"
 	"nochatter/internal/service"
 	"nochatter/internal/sim"
 	"nochatter/internal/spec"
@@ -329,67 +307,6 @@ type (
 	JobState = service.JobState
 	// ServiceMetrics is the wire form of GET /metrics.
 	ServiceMetrics = service.Metrics
-)
-
-// Cluster-scheduled sweeps, re-exported from internal/cluster: a
-// coordinator that partitions a sweep's expanded specs into cost-balanced
-// chunks which a fleet of gatherd workers pulls and steals as summary-only
-// jobs, reroutes failed chunks to survivors, and merges the per-chunk
-// summaries — in fixed chunk order — into a total bit-identical
-// (CanonicalJSON) to a single-process run. cmd/gatherd -workers serves
-// this behind POST /v1/sweeps?summary=only. See DESIGN.md §10, §12 and
-// examples/cluster.
-type (
-	// ClusterCoordinator schedules sweeps across gatherd workers and merges
-	// their summaries deterministically.
-	ClusterCoordinator = cluster.Coordinator
-	// ClusterWorker is the HTTP client of one gatherd backend: summary-only
-	// submission, summary long-polling, health probes, bounded retries.
-	ClusterWorker = cluster.Worker
-	// ClusterWorkerOption configures a ClusterWorker (retry budget, HTTP
-	// client).
-	ClusterWorkerOption = cluster.WorkerOption
-)
-
-// Cluster constructors and worker options, re-exported from
-// internal/cluster.
-var (
-	// NewClusterCoordinator returns a coordinator over the given workers.
-	NewClusterCoordinator = cluster.NewCoordinator
-	// NewClusterWorker returns a client for the gatherd at a base URL.
-	NewClusterWorker = cluster.NewWorker
-	// WithClusterRetries sets a worker's retry budget and backoff base.
-	WithClusterRetries = cluster.WithRetries
-	// WithClusterHTTPClient sets a worker's HTTP client.
-	WithClusterHTTPClient = cluster.WithHTTPClient
-)
-
-// The sweep scheduler, re-exported from internal/sched: the deterministic
-// cost-weighted chunk planner behind ClusterCoordinator, its calibrated
-// cost model, and the stats the coordinator reports. The partition is a
-// pure function of the spec list and the scheduling parameters — never of
-// timing or completion order — which is what keeps distributed totals
-// bit-identical to local ones. See DESIGN.md §12.
-type (
-	// SchedChunk is one schedulable unit: a contiguous spec range, its
-	// predicted cost, and its fixed merge position.
-	SchedChunk = sched.Chunk
-	// SchedPlanner partitions expanded sweeps into cost-balanced chunks;
-	// the zero value is the coordinator's default configuration.
-	SchedPlanner = sched.Planner
-	// SchedWorkerStats counts one worker's share of dispatched, stolen,
-	// retried and failed chunks.
-	SchedWorkerStats = sched.WorkerStats
-	// SchedFleetStats aggregates scheduler counters across a coordinator's
-	// sweeps, as served under "scheduler" in a coordinator's GET /metrics.
-	SchedFleetStats = sched.FleetStats
-)
-
-// Scheduler functions, re-exported from internal/sched.
-var (
-	// SchedDefaultCost is the calibrated per-spec cost model (engine-stepped
-	// rounds as a function of graph family, size and team size).
-	SchedDefaultCost = sched.DefaultCost
 )
 
 // Service construction and spec hashing, re-exported from internal/service.

@@ -38,6 +38,7 @@ func FuzzParseSweepDef(f *testing.F) {
 	f.Add([]byte(`{"name":"g-{family}-{n}","graphs":[{"family":"grid","n":9}],"teams":[{"labels":[1,2],"starts":[0,4]}]}`))
 	f.Add([]byte(`{"specs":[{"graph":{"family":"ring","n":6},"agents":[{"label":1,"start":0},{"label":2,"start":3}]}]}`))
 	f.Add([]byte(`{"families":["ring"],"sizes":[4,5],"teams":[{"labels":[1,2]}],"zip":true}`))
+	f.Add([]byte(`{"graphs":[{"family":"barbell","n":4,"tail":-1}],"teams":[{"labels":[1,2]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := spec.ParseSweepDef(data)
 		if err != nil {

@@ -330,6 +330,68 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeGraphParams sends a barbell with a negative tail, which
+// the graph generator would panic on, through both run paths. As a sweep
+// job with explicit starts (so nothing builds the graph before the job
+// runs), the spec's row fails with the family's message and the process
+// lives on; on POST /v1/run, the first and the repeated request both
+// answer 422 instead of dropping the connection and then hanging on the
+// flight the panic never released.
+func TestOutOfRangeGraphParams(t *testing.T) {
+	_, srv := newTestServer(t, Config{})
+	const want = "barbell tail must be >= 0"
+	bad := spec.GraphSpec{Family: "barbell", N: 4, Tail: -1}
+
+	body, _ := json.Marshal(spec.SweepDef{
+		Graphs: []spec.GraphSpec{bad},
+		Teams:  []spec.Team{{Labels: []int{1, 2}, Starts: []int{0, 1}}},
+	})
+	resp, accepted := postJSON(t, srv.URL+"/v1/sweeps", body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, accepted)
+	}
+	var acc SweepAccepted
+	if err := json.Unmarshal(accepted, &acc); err != nil {
+		t.Fatalf("decode accepted: %v", err)
+	}
+	streamResp, err := http.Get(srv.URL + "/v1/jobs/" + acc.JobID + "/results")
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	var row JobResult
+	err = json.NewDecoder(streamResp.Body).Decode(&row)
+	streamResp.Body.Close()
+	if err != nil {
+		t.Fatalf("decode result row: %v", err)
+	}
+	if !strings.Contains(row.Error, want) {
+		t.Errorf("result row error %q, want the family's message %q", row.Error, want)
+	}
+	var st JobStatus
+	getJSON(t, srv.URL+"/v1/jobs/"+acc.JobID, &st)
+	if st.State != JobDone || st.Completed != 1 {
+		t.Errorf("job status %+v, want done with its one spec completed", st)
+	}
+
+	body, _ = json.Marshal(spec.ScenarioSpec{
+		Graph:  bad,
+		Agents: []spec.AgentSpec{{Label: 1, Start: 0}, {Label: 2, Start: 1}},
+	})
+	client := &http.Client{Timeout: 3 * time.Second}
+	for i := 0; i < 2; i++ {
+		resp, err := client.Post(srv.URL+"/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("run request %d: %v", i, err)
+		}
+		var e struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, want) {
+			t.Errorf("run request %d: %d %q (%v), want 422 with %q", i, resp.StatusCode, e.Error, err, want)
+		}
+	}
+}
+
 // TestHTTPMetricsAndHealth sanity-checks the observability endpoints after
 // known traffic.
 func TestHTTPMetricsAndHealth(t *testing.T) {

@@ -60,10 +60,38 @@ func BuildGraph(gs GraphSpec) (*graph.Graph, error) {
 	return g, nil
 }
 
-// needN guards the size parameter of a family.
+// maxNodes and maxEdges bound every built-in family. Specs arrive from
+// files and HTTP requests, and a graph's adjacency and the exploration
+// sequence compiled over it grow with the square of its size (about 25–30
+// bytes per squared node), so a 100-byte request for complete n=10,000
+// would otherwise ask for some 20 GB. A family checks its parameters
+// against these bounds before it allocates anything.
+const (
+	maxNodes = 2048
+	maxEdges = 1 << 18
+)
+
+// needN guards the size parameter of a family: at least min, and at most
+// maxNodes, which also keeps the edge counts the callers compute from n
+// from overflowing.
 func needN(gs GraphSpec, min int, what string) error {
 	if gs.N < min {
 		return fmt.Errorf("%s needs n >= %d, got %d", what, min, gs.N)
+	}
+	if gs.N > maxNodes {
+		return fmt.Errorf("%s needs n <= %d, got %d", what, maxNodes, gs.N)
+	}
+	return nil
+}
+
+// needSize rejects a graph of the given node and undirected edge counts
+// above maxNodes or maxEdges.
+func needSize(what string, nodes, edges int) error {
+	if nodes > maxNodes {
+		return fmt.Errorf("%s would have %d nodes, above the limit of %d", what, nodes, maxNodes)
+	}
+	if edges > maxEdges {
+		return fmt.Errorf("%s would have %d edges, above the limit of %d", what, edges, maxEdges)
 	}
 	return nil
 }
@@ -103,12 +131,18 @@ func isqrt(n int) int {
 	return r
 }
 
-// tailOf defaults the barbell/lollipop tail parameter to 1.
-func tailOf(gs GraphSpec) int {
-	if gs.Tail == 0 {
-		return 1
+// tailOf defaults the barbell/lollipop tail parameter to 1 and rejects a
+// negative or oversized one.
+func tailOf(gs GraphSpec, what string) (int, error) {
+	switch {
+	case gs.Tail == 0:
+		return 1, nil
+	case gs.Tail < 0:
+		return 0, fmt.Errorf("%s tail must be >= 0 (0 means 1), got %d", what, gs.Tail)
+	case gs.Tail > maxNodes:
+		return 0, fmt.Errorf("%s tail must be <= %d, got %d", what, maxNodes, gs.Tail)
 	}
-	return gs.Tail
+	return gs.Tail, nil
 }
 
 func init() {
@@ -128,6 +162,9 @@ func init() {
 		if err := needN(gs, 2, "complete"); err != nil {
 			return nil, err
 		}
+		if err := needSize("complete", gs.N, gs.N*(gs.N-1)/2); err != nil {
+			return nil, err
+		}
 		return graph.Complete(gs.N), nil
 	})
 	RegisterGraphFamily("star", func(gs GraphSpec) (*graph.Graph, error) {
@@ -137,6 +174,9 @@ func init() {
 		return graph.Star(gs.N), nil
 	})
 	RegisterGraphFamily("grid", func(gs GraphSpec) (*graph.Graph, error) {
+		if err := needSize("grid", gs.N, 2*gs.N); err != nil {
+			return nil, err
+		}
 		r, c, err := rectShape(gs.N, gs.Rows, 1)
 		if err != nil {
 			return nil, err
@@ -147,6 +187,9 @@ func init() {
 		return graph.Grid(r, c), nil
 	})
 	RegisterGraphFamily("torus", func(gs GraphSpec) (*graph.Graph, error) {
+		if err := needSize("torus", gs.N, 2*gs.N); err != nil {
+			return nil, err
+		}
 		r, c, err := rectShape(gs.N, gs.Rows, 3)
 		if err != nil {
 			return nil, err
@@ -154,8 +197,9 @@ func init() {
 		return graph.Torus(r, c), nil
 	})
 	RegisterGraphFamily("hypercube", func(gs GraphSpec) (*graph.Graph, error) {
-		if gs.N < 1 || gs.N > 16 {
-			return nil, fmt.Errorf("hypercube dimension n must be in 1..16, got %d", gs.N)
+		// 2^11 = maxNodes nodes, each of degree 11.
+		if gs.N < 1 || gs.N > 11 {
+			return nil, fmt.Errorf("hypercube dimension n must be in 1..11, got %d", gs.N)
 		}
 		return graph.Hypercube(gs.N), nil
 	})
@@ -176,19 +220,38 @@ func init() {
 		if p < 0 || p > 1 {
 			return nil, fmt.Errorf("gnp edge probability p must be in [0,1], got %v", p)
 		}
+		// Checked at the worst case, p = 1, so the bound does not depend
+		// on the seed.
+		if err := needSize("gnp", gs.N, gs.N*(gs.N-1)/2); err != nil {
+			return nil, err
+		}
 		return graph.GNP(gs.N, p, gs.Seed), nil
 	})
 	RegisterGraphFamily("barbell", func(gs GraphSpec) (*graph.Graph, error) {
 		if err := needN(gs, 3, "barbell clique size"); err != nil {
 			return nil, err
 		}
-		return graph.Barbell(gs.N, tailOf(gs)), nil
+		tail, err := tailOf(gs, "barbell")
+		if err != nil {
+			return nil, err
+		}
+		if err := needSize("barbell", 2*gs.N+tail-1, gs.N*(gs.N-1)+tail); err != nil {
+			return nil, err
+		}
+		return graph.Barbell(gs.N, tail), nil
 	})
 	RegisterGraphFamily("lollipop", func(gs GraphSpec) (*graph.Graph, error) {
 		if err := needN(gs, 3, "lollipop clique size"); err != nil {
 			return nil, err
 		}
-		return graph.Lollipop(gs.N, tailOf(gs)), nil
+		tail, err := tailOf(gs, "lollipop")
+		if err != nil {
+			return nil, err
+		}
+		if err := needSize("lollipop", gs.N+tail, gs.N*(gs.N-1)/2+tail); err != nil {
+			return nil, err
+		}
+		return graph.Lollipop(gs.N, tail), nil
 	})
 	RegisterGraphFamily("two", func(gs GraphSpec) (*graph.Graph, error) {
 		if gs.N != 0 && gs.N != 2 {

@@ -11,7 +11,9 @@
 // (RegisterGraphFamily; ring, path, complete, star, grid, torus, hypercube,
 // tree, gnp, barbell, lollipop, two are built in) and the algorithm registry
 // (RegisterAlgorithm; known, gossip, unknown, randomized, baseline are built
-// in). Per-run artifacts that the paper's algorithms share across the whole
+// in). Specs are user input, so the built-in families return an error, never
+// a panic, on an out-of-range parameter, and refuse before allocating any
+// graph above 2,048 nodes or 2^18 edges. Per-run artifacts that the paper's algorithms share across the whole
 // team — the universal exploration sequence operationalizing "all agents
 // know N" — are constructed once per compilation and handed to every
 // program builder through Artifacts.

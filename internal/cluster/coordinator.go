@@ -192,16 +192,6 @@ func (c *Coordinator) Stats() sched.FleetStats {
 	return out
 }
 
-// SummarizeSweep expands the definition and summarizes it across the
-// fleet; see SummarizeSpecs.
-func (c *Coordinator) SummarizeSweep(ctx context.Context, def spec.SweepDef) (*agg.Summary, error) {
-	specs, err := def.Specs()
-	if err != nil {
-		return nil, err
-	}
-	return c.SummarizeSpecs(ctx, specs)
-}
-
 // SummarizeSpecs plans the spec list into chunks, dispatches them
 // pull-style across the fleet with per-chunk retry and work stealing, and
 // merges the chunk summaries — in chunk-index order, regardless of which

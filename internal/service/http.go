@@ -257,8 +257,8 @@ func (s *Service) handleJobSummary(w http.ResponseWriter, r *http.Request) {
 
 // JobTrace is the wire form of GET /v1/jobs/{id}/trace: the job's
 // lifecycle events — submission, start, chunk dispatch/steal/retry/merge
-// on distributed jobs, completion — oldest first. The trace ring is
-// bounded (Config.TraceEvents), so a long-lived daemon's early events age
+// on distributed jobs, completion — oldest first. The trace ring holds
+// obs.DefaultTraceEvents events, so a long-lived daemon's early events age
 // out; Seq gaps mark eviction. Traces are reporting-only wall-clock data
 // and never part of any canonical encoding.
 type JobTrace struct {

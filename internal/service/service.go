@@ -39,10 +39,6 @@ type Config struct {
 	// evicted and their ids start returning 404. Without a bound, a
 	// long-running daemon would retain every job ever submitted.
 	RetainedJobs int
-	// TraceEvents bounds the lifecycle trace ring served by
-	// GET /v1/jobs/{id}/trace (default obs.DefaultTraceEvents). Old events
-	// are overwritten, never accumulated.
-	TraceEvents int
 }
 
 func (c Config) withDefaults() Config {
@@ -147,7 +143,7 @@ func New(cfg Config) *Service {
 // evaluated at snapshot time, outside the registry lock.
 func (s *Service) initObs() {
 	s.reg = obs.NewRegistry()
-	s.tracer = obs.NewTracer(s.cfg.TraceEvents)
+	s.tracer = obs.NewTracer(obs.DefaultTraceEvents)
 	s.requests = s.reg.Counter("requests")
 	s.runRequests = s.reg.Counter("run_requests")
 	s.cacheHits = s.reg.Counter("cache_hits")

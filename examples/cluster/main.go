@@ -6,7 +6,8 @@
 // operate: all three summaries are bit-identical (CanonicalJSON), because
 // the chunk plan is a pure function of the spec list and summary folding
 // is associative and commutative, so scheduling, stealing and failover
-// cannot change the answer.
+// cannot change the answer. It exits non-zero when either fleet summary's
+// canonical bytes differ from the local fold.
 //
 //	go run ./examples/cluster
 //
@@ -106,6 +107,9 @@ func run() error {
 	}
 	fmt.Printf("2-worker cluster:   %d runs, bit-identical to local: %v\n",
 		merged.Total.Runs, bytes.Equal(mergedCanon, localCanon))
+	if !bytes.Equal(mergedCanon, localCanon) {
+		return fmt.Errorf("2-worker cluster summary differs from the local fold")
+	}
 	for _, ws := range coord.Stats().Workers {
 		fmt.Printf("  worker %d: %d chunks dispatched (%d stolen, %d retried)\n",
 			ws.Worker, ws.Dispatched, ws.Stolen, ws.Retried)
@@ -148,6 +152,9 @@ func run() error {
 	}
 	fmt.Printf("coordinator daemon: job %s, bit-identical to local: %v\n",
 		acc.JobID, bytes.Equal(httpCanon, localCanon))
+	if !bytes.Equal(httpCanon, localCanon) {
+		return fmt.Errorf("coordinator daemon summary differs from the local fold")
+	}
 
 	// Per-group view, identical whichever path produced it.
 	fmt.Println()

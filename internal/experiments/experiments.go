@@ -6,9 +6,9 @@
 //
 // Every experiment returns a trace.Table; cmd/benchharness renders them all,
 // and bench_test.go wraps each in a testing.B benchmark. Independent
-// scenarios of one experiment execute on the sim worker pool (streamed in
-// input order); results are deterministic regardless of parallelism, and
-// row order always matches the case order.
+// scenarios of one experiment execute on the sim worker pool (RunBatch,
+// results in input order); results are deterministic regardless of
+// parallelism, and row order always matches the case order.
 //
 // Scenario sweeps are declared as data: each gathering experiment is a
 // spec.SweepDef literal (axes of graphs, teams, wake schedules and

@@ -482,10 +482,9 @@ func unpackOutcome(v any) (*sim.RunResult, error) {
 const maxTeamSize = 1 << 20
 
 // SubmitSweep expands a sweep definition and enqueues its specs as one
-// async job, returning the job's initial status. Expansion is bounded as
-// it streams: a definition whose product exceeds MaxSweepSpecs is rejected
-// after materializing at most MaxSweepSpecs+1 specs, never the full
-// product.
+// async job, returning the job's initial status. Expansion is bounded up
+// front: a definition whose axis product exceeds MaxSweepSpecs is rejected
+// arithmetically, before any spec materializes.
 func (s *Service) SubmitSweep(def spec.SweepDef) (JobStatus, error) {
 	return s.submitSweep(def, false)
 }

@@ -109,11 +109,9 @@ func (b *Builder) Build() (*Graph, error) {
 	if b.n < 1 {
 		return nil, ErrTooSmall
 	}
+	// grow fills ports not yet wired with halfEdge{to: -1}, so a port is
+	// taken exactly when it exists and its edge leads somewhere.
 	adj := make([][]halfEdge, b.n)
-	seen := make([]map[int]bool, b.n)
-	for i := range seen {
-		seen[i] = make(map[int]bool)
-	}
 	for _, e := range b.edges {
 		if e.u < 0 || e.u >= b.n || e.v < 0 || e.v >= b.n {
 			return nil, fmt.Errorf("%w: {%d,%d}", ErrBadEndpoint, e.u, e.v)
@@ -124,14 +122,12 @@ func (b *Builder) Build() (*Graph, error) {
 		if e.pu < 0 || e.pv < 0 {
 			return nil, fmt.Errorf("graph: negative port on edge {%d,%d}", e.u, e.v)
 		}
-		if seen[e.u][e.pu] {
+		if e.pu < len(adj[e.u]) && adj[e.u][e.pu].to >= 0 {
 			return nil, fmt.Errorf("%w: node %d port %d", ErrPortClash, e.u, e.pu)
 		}
-		if seen[e.v][e.pv] {
+		if e.pv < len(adj[e.v]) && adj[e.v][e.pv].to >= 0 {
 			return nil, fmt.Errorf("%w: node %d port %d", ErrPortClash, e.v, e.pv)
 		}
-		seen[e.u][e.pu] = true
-		seen[e.v][e.pv] = true
 		grow(&adj[e.u], e.pu)
 		grow(&adj[e.v], e.pv)
 		adj[e.u][e.pu] = halfEdge{to: e.v, revPort: e.pv}
@@ -139,7 +135,7 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	for v := range adj {
 		for p := range adj[v] {
-			if !seen[v][p] {
+			if adj[v][p].to < 0 {
 				return nil, fmt.Errorf("%w: node %d missing port %d", ErrPortGap, v, p)
 			}
 		}

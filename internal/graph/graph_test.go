@@ -41,6 +41,16 @@ func TestBuilderValidation(t *testing.T) {
 			wantErr: ErrPortClash,
 		},
 		{
+			name: "port clash at the second endpoint",
+			build: func() (*Graph, error) {
+				return NewBuilder("x", 3).
+					AddEdge(0, 1, 0, 0).
+					AddEdge(2, 1, 0, 0).
+					Build()
+			},
+			wantErr: ErrPortClash,
+		},
+		{
 			name: "port gap",
 			build: func() (*Graph, error) {
 				return NewBuilder("x", 3).

@@ -47,9 +47,9 @@ func TestSequenceMemoSharesAcrossCompilations(t *testing.T) {
 	}
 
 	// Re-registering the family must drop its memo entries: the new
-	// builder may denote different graphs. (This replacement keeps the
-	// built-in semantics so the registry stays intact for other tests.)
-	RegisterGraphFamily("ring", func(gs GraphSpec) (*graph.Graph, error) {
+	// builder may denote different graphs. The built-in builder comes back
+	// when the test ends.
+	withGraphFamily(t, "ring", func(gs GraphSpec) (*graph.Graph, error) {
 		if err := needN(gs, 3, "ring"); err != nil {
 			return nil, err
 		}

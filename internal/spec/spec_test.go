@@ -65,9 +65,6 @@ func TestGraphFamilyRoundTrips(t *testing.T) {
 		"two":       {GraphSpec{Family: "two"}, graph.TwoNodes()},
 	}
 	for _, family := range GraphFamilies() {
-		if strings.HasPrefix(family, "test-") {
-			continue // registered by other tests of this package
-		}
 		tc, ok := cases[family]
 		if !ok {
 			t.Errorf("registered graph family %q has no round-trip case; add one", family)
@@ -157,9 +154,8 @@ func TestSpecRunsBitIdenticalToHandBuilt(t *testing.T) {
 		},
 	}
 	for _, name := range Algorithms() {
-		if name == "baseline" || strings.HasPrefix(name, "test-") {
-			continue // baseline has no hand-built sim form (see below);
-			// test- names are registered by other tests of this package
+		if name == "baseline" {
+			continue // no hand-built sim form (see below)
 		}
 		tc, ok := cases[name]
 		if !ok {
@@ -479,7 +475,7 @@ func TestParamOutcomeFollowsKey(t *testing.T) {
 // TestRegisterCustomAlgorithm proves user programs are first-class: a
 // registered name compiles from a spec like the built-ins.
 func TestRegisterCustomAlgorithm(t *testing.T) {
-	RegisterAlgorithm("test-sleeper", func(ar *Artifacts, ag AgentSpec) (sim.Program, error) {
+	withAlgorithm(t, "test-sleeper", func(ar *Artifacts, ag AgentSpec) (sim.Program, error) {
 		rounds, err := ag.Algorithm.ParamInt("rounds", 1)
 		if err != nil {
 			return nil, err
@@ -502,7 +498,7 @@ func TestRegisterCustomAlgorithm(t *testing.T) {
 
 // TestRegisterCustomGraphFamily proves user graph families are first-class.
 func TestRegisterCustomGraphFamily(t *testing.T) {
-	RegisterGraphFamily("test-triangle", func(gs GraphSpec) (*graph.Graph, error) {
+	withGraphFamily(t, "test-triangle", func(gs GraphSpec) (*graph.Graph, error) {
 		return graph.Ring(3), nil
 	})
 	g, err := BuildGraph(GraphSpec{Family: "test-triangle"})
@@ -512,4 +508,42 @@ func TestRegisterCustomGraphFamily(t *testing.T) {
 	if g.N() != 3 {
 		t.Errorf("custom family built n=%d", g.N())
 	}
+}
+
+// withGraphFamily registers b under name for the rest of the test and puts
+// the registry back when it ends: the previous builder, or no entry.
+func withGraphFamily(t *testing.T, name string, b GraphBuilderFunc) {
+	t.Helper()
+	graphMu.RLock()
+	old, had := graphReg[name]
+	graphMu.RUnlock()
+	RegisterGraphFamily(name, b)
+	t.Cleanup(func() {
+		if had {
+			RegisterGraphFamily(name, old)
+			return
+		}
+		graphMu.Lock()
+		delete(graphReg, name)
+		graphMu.Unlock()
+		invalidateSequences(name)
+	})
+}
+
+// withAlgorithm is withGraphFamily for the algorithm registry.
+func withAlgorithm(t *testing.T, name string, b ProgramBuilder) {
+	t.Helper()
+	algoMu.RLock()
+	old, had := algoReg[name]
+	algoMu.RUnlock()
+	RegisterAlgorithm(name, b)
+	t.Cleanup(func() {
+		if had {
+			RegisterAlgorithm(name, old)
+			return
+		}
+		algoMu.Lock()
+		delete(algoReg, name)
+		algoMu.Unlock()
+	})
 }

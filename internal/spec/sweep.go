@@ -75,13 +75,26 @@ func (d SweepDef) Specs() ([]ScenarioSpec, error) {
 		algos = []AlgorithmSpec{Known()}
 	}
 	out := append([]ScenarioSpec(nil), d.Explicit...)
-	i := 0 // axis spec index, the {i} placeholder
-	emit := func(gs GraphSpec, team Team) error {
+	i := 0                            // axis spec index, the {i} placeholder
+	nodes := make([]int, len(graphs)) // built graph sizes; 0 until a spread team needs one
+	emit := func(gi int, team Team) error {
+		gs := graphs[gi]
 		// Spread starts depend only on (graph, team): resolve them once,
-		// not per wake × algorithm combination.
-		starts, err := resolveStarts(gs, team)
-		if err != nil {
-			return err
+		// not per wake × algorithm combination, and build each graph at
+		// most once for its node count.
+		starts := team.Starts
+		if starts == nil {
+			if len(team.Labels) == 0 {
+				return fmt.Errorf("spec: sweep team %v has no labels", team)
+			}
+			if nodes[gi] == 0 {
+				g, err := BuildGraph(gs)
+				if err != nil {
+					return err
+				}
+				nodes[gi] = g.N()
+			}
+			starts = spread(nodes[gi], len(team.Labels))
 		}
 		for wi, wake := range wakes {
 			for _, algo := range algos {
@@ -95,15 +108,15 @@ func (d SweepDef) Specs() ([]ScenarioSpec, error) {
 		}
 		return nil
 	}
-	for gi, gs := range graphs {
+	for gi := range graphs {
 		if d.Zip {
-			if err := emit(gs, teams[gi]); err != nil {
+			if err := emit(gi, teams[gi]); err != nil {
 				return nil, err
 			}
 			continue
 		}
 		for _, team := range teams {
-			if err := emit(gs, team); err != nil {
+			if err := emit(gi, team); err != nil {
 				return nil, err
 			}
 		}
@@ -116,8 +129,9 @@ func (d SweepDef) Specs() ([]ScenarioSpec, error) {
 // It is the single source of the spread policy, shared by sweeps and
 // cmd/gathersim. The spread needs the built graph's size, which for most
 // families is gs.N but not for all (hypercube, grid shapes), so the graph
-// is built through the registry — cheap, and the compile step rebuilds it
-// anyway.
+// is built through the registry. A dense graph is costly to build, so a
+// caller placing several teams on one graph should read its size once, as
+// SweepDef.Specs does.
 func SpreadStarts(gs GraphSpec, k int) ([]int, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("spec: spread needs a positive team size, got %d", k)
@@ -126,23 +140,16 @@ func SpreadStarts(gs GraphSpec, k int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	starts := make([]int, k)
-	for j := 0; j < k; j++ {
-		starts[j] = (j * g.N()) / k
-	}
-	return starts, nil
+	return spread(g.N(), k), nil
 }
 
-// resolveStarts returns the team's start nodes, spreading agents evenly
-// over the graph when none are given.
-func resolveStarts(gs GraphSpec, team Team) ([]int, error) {
-	if team.Starts != nil {
-		return team.Starts, nil
+// spread places k agents evenly over n nodes.
+func spread(n, k int) []int {
+	starts := make([]int, k)
+	for j := range starts {
+		starts[j] = (j * n) / k
 	}
-	if len(team.Labels) == 0 {
-		return nil, fmt.Errorf("spec: sweep team %v has no labels", team)
-	}
-	return SpreadStarts(gs, len(team.Labels))
+	return starts
 }
 
 // buildSpec assembles one spec of the product; a nil wake keeps the team's

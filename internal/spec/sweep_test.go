@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"nochatter/internal/graph"
 	"nochatter/internal/sim"
 )
 
@@ -46,6 +47,39 @@ func TestSweepSpreadStarts(t *testing.T) {
 	ag := specs[0].Agents
 	if ag[0].Start != 0 || ag[1].Start != 4 {
 		t.Errorf("spread starts %d,%d, want antipodal 0,4", ag[0].Start, ag[1].Start)
+	}
+}
+
+// TestSweepBuildsEachGraphOnce: spreading start-less teams needs each
+// graph's node count, read from one build per graph however many teams
+// share it; a team with explicit starts needs no build at all.
+func TestSweepBuildsEachGraphOnce(t *testing.T) {
+	builds := map[int]int{}
+	withGraphFamily(t, "test-counted", func(gs GraphSpec) (*graph.Graph, error) {
+		builds[gs.N]++
+		return graph.Ring(gs.N), nil
+	})
+	specs, err := SweepDef{
+		Families: []string{"test-counted"},
+		Sizes:    []int{6, 9},
+		Teams: []Team{
+			{Labels: []int{1, 2}},
+			{Labels: []int{1, 2, 3}},
+			{Labels: []int{4, 5}},
+			{Labels: []int{1, 2}, Starts: []int{0, 1}},
+		},
+	}.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != 8 {
+		t.Fatalf("got %d specs, want 8", len(specs))
+	}
+	if builds[6] != 1 || builds[9] != 1 || len(builds) != 2 {
+		t.Errorf("graph builds by size: %v, want one each for 6 and 9", builds)
+	}
+	if ag := specs[5].Agents; ag[0].Start != 0 || ag[1].Start != 3 || ag[2].Start != 6 {
+		t.Errorf("spread starts on n=9 for k=3: %v", ag)
 	}
 }
 

@@ -66,7 +66,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	diags, st, err := gatherlint.RunWithStats(suite, patterns...)
+	diags, st, err := gatherlint.Run(suite, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gatherlint:", err)
 		os.Exit(2)
@@ -96,7 +96,7 @@ func main() {
 				relPath(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 		}
 	}
-	if *stats && st != nil {
+	if *stats {
 		printStats(suite, st)
 	}
 	if len(diags) > 0 {

@@ -62,15 +62,12 @@ func collectAllows(fset *token.FileSet, files []*ast.File) *allowIndex {
 }
 
 // SuppressedAt reports whether a //lint:allow annotation for the named
-// analyzer covers pos. The post-hoc filter in RunPackageFacts only drops
+// analyzer covers pos. The post-hoc filter in RunPackage only drops
 // diagnostics at the annotated site; interprocedural analyzers use this to
 // treat an audited call site as benign at the source, so one allow does not
 // have to be repeated at every transitive caller.
 func (p *Pass) SuppressedAt(name string, pos token.Pos) bool {
-	if p.allowIdx == nil {
-		p.allowIdx = collectAllows(p.Fset, p.Files)
-	}
-	return p.allowIdx.allowed(name, p.Fset.Position(pos))
+	return p.allows.allowed(name, p.Fset.Position(pos))
 }
 
 // allowed reports whether a finding by the named analyzer at pos is

@@ -3,10 +3,11 @@
 // golang.org/x/tools/go/analysis (which this module cannot vendor — the
 // go.mod is dependency-free and lint tooling must build offline). An
 // Analyzer is a named pass over one type-checked package; a Pass hands it
-// the syntax, type information and a reporter; RunPackage drives a suite
-// of analyzers over a loaded package and applies the `//lint:allow`
-// escape-hatch filter. The analyzers themselves live in subpackages
-// (detrand, maporder, wiretags, lockscope) and the suite is assembled in
+// the syntax, type information, a reporter and the facts of the packages
+// it imports; RunPackage drives a suite of analyzers over a loaded package
+// and applies the `//lint:allow` escape-hatch filter. The analyzers
+// themselves live in subpackages (detrand, maporder, wiretags, lockscope,
+// purity, errsink, atomic) and the suite is assembled in
 // internal/analysis/gatherlint, consumed by cmd/gatherlint and CI.
 //
 // What the suite defends is the module's load-bearing invariant: results
@@ -48,9 +49,9 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	facts    *FactDB
-	diags    *[]Diagnostic
-	allowIdx *allowIndex
+	facts  *FactDB
+	diags  *[]Diagnostic
+	allows *allowIndex
 }
 
 // ExportObjectFact records a fact about obj (a package-level object or
@@ -58,13 +59,10 @@ type Pass struct {
 // packages. With no fact database wired (single-package runs), exporting
 // is a no-op — in-package analysis never depends on it.
 func (p *Pass) ExportObjectFact(obj types.Object, f Fact) error {
-	if p.facts == nil {
-		return nil
-	}
 	return p.facts.export(obj, f, obj.Pos())
 }
 
-// ImportObjectFact decodes the fact recorded for obj under f's FactName
+// ImportObjectFact copies the fact recorded for obj under f's FactName
 // into f, reporting whether one existed. Objects from imported packages
 // resolve by stable key, so facts exported by the pass that analyzed the
 // dependency from source are visible here through export-data objects.
@@ -93,7 +91,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Stats accumulates per-analyzer wall time across RunPackageFacts calls,
+// Stats accumulates per-analyzer wall time across RunPackage calls,
 // so suite-cost regressions are visible in CI (the lint job prints it).
 type Stats struct {
 	Elapsed map[string]time.Duration
@@ -110,23 +108,17 @@ func (s *Stats) add(name string, d time.Duration) {
 	s.Elapsed[name] += d
 }
 
-// RunPackage runs the analyzers over one loaded package with no fact
-// database — the single-package form used by tests over isolated copies.
-// Cross-package facts resolve to nothing; in-package analysis is complete.
-func RunPackage(pkg *load.Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunPackageFacts(pkg, analyzers, nil, nil)
-}
-
-// RunPackageFacts runs the analyzers over one loaded package and returns
-// the surviving findings, sorted by position: `//lint:allow`-suppressed
+// RunPackage runs the analyzers over one loaded package and returns the
+// surviving findings, sorted by position: `//lint:allow`-suppressed
 // diagnostics are dropped, and malformed allow annotations are themselves
 // reported (the escape hatch must carry a justification). A package with
 // type errors yields those as diagnostics instead of running any analyzer
 // — findings over a package that does not compile would be noise. Facts
-// exported by the analyzers land in db (which must already hold the facts
-// of the package's dependencies — the driver analyzes in dependency
-// order); stats, when non-nil, accumulates per-analyzer wall time.
-func RunPackageFacts(pkg *load.Package, analyzers []*Analyzer, db *FactDB, stats *Stats) ([]Diagnostic, error) {
+// exported by the analyzers land in db, which must already hold the facts
+// of the package's dependencies (the driver analyzes in dependency order);
+// a nil db runs one package alone, where cross-package facts resolve to
+// nothing. stats, when non-nil, accumulates per-analyzer wall time.
+func RunPackage(pkg *load.Package, analyzers []*Analyzer, db *FactDB, stats *Stats) ([]Diagnostic, error) {
 	if len(pkg.TypeErrors) > 0 {
 		diags := make([]Diagnostic, 0, len(pkg.TypeErrors))
 		for _, err := range pkg.TypeErrors {
@@ -150,6 +142,7 @@ func RunPackageFacts(pkg *load.Package, analyzers []*Analyzer, db *FactDB, stats
 			TypesInfo: pkg.Info,
 			facts:     db,
 			diags:     &diags,
+			allows:    allows,
 		}
 		start := time.Now()
 		err := a.Run(pass)

@@ -19,9 +19,8 @@
 // Packages load through load.Tree, so fixtures may import each other
 // (testdata/src/a importing testdata/src/a/dep), and all packages named in
 // one Run share a fact database the way the gatherlint driver shares one:
-// list dependencies before dependents, and each package's facts are
-// round-tripped through their serialized form before the next package
-// runs. A line where the analyzer should export a fact carries
+// list dependencies before dependents. A line where the analyzer should
+// export a fact carries
 //
 //	func Helper() {} // want-fact "regexp"
 //
@@ -66,24 +65,13 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, importPaths ...str
 		if len(pkg.TypeErrors) > 0 {
 			continue
 		}
-		diags, err := analysis.RunPackageFacts(pkg, []*analysis.Analyzer{a}, db, nil)
+		diags, err := analysis.RunPackage(pkg, []*analysis.Analyzer{a}, db, nil)
 		if err != nil {
 			t.Errorf("%s: %v", path, err)
 			continue
 		}
 		check(t, pkg, diags)
 		checkFacts(t, pkg, db)
-		// Round-trip the package's facts exactly like the driver, so a
-		// fixture dependency's facts reach the dependent in serialized form.
-		data, err := db.EncodePackage(path)
-		if err != nil {
-			t.Errorf("%s: encode facts: %v", path, err)
-			continue
-		}
-		db.DropPackage(path)
-		if err := db.DecodePackage(path, data); err != nil {
-			t.Errorf("%s: decode facts: %v", path, err)
-		}
 	}
 }
 

@@ -1,11 +1,10 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"go/types"
-	"sort"
+	"reflect"
 )
 
 // The facts layer is what makes the suite interprocedural: an analyzer
@@ -19,23 +18,20 @@ import (
 // export data and therefore through *different* types.Object values than
 // the pass that analyzed the dependency from source.
 //
-// Facts serialize per package as JSON — the analogue of export data for
-// the lint suite. The gatherlint driver round-trips every package's facts
-// through EncodePackage/DecodePackage before any dependent consumes them,
-// so the serialized form is exercised on every run, and DecodePackage is
-// fuzzed with hostile bytes (facts_fuzz_test.go): corrupt fact data must
-// degrade to "no facts", never to a panic.
+// Facts live in memory for one run, as the analyzers' own values: the
+// driver analyzes packages in dependency order over one FactDB, and no
+// fact is written to or read from a file.
 
-// Fact is one typed, serializable statement about an object. Implementations
-// must be JSON-marshalable pointers; FactName returns a stable identifier
-// ("purity.impure") that namespaces the fact across analyzers.
+// Fact is one typed statement about an object. Implementations must be
+// pointers; FactName returns a stable identifier ("purity.impure") that
+// namespaces the fact across analyzers.
 type Fact interface {
 	FactName() string
 }
 
-// ExportedFact is the in-memory record of one ExportObjectFact call: the
-// fact plus where its object is declared. analysistest matches
-// `// want-fact` annotations against these (positions never serialize).
+// ExportedFact is the record of one ExportObjectFact call: the fact plus
+// where its object is declared. analysistest matches `// want-fact`
+// annotations against these.
 type ExportedFact struct {
 	Pkg  string
 	Key  string
@@ -43,18 +39,21 @@ type ExportedFact struct {
 	Fact Fact
 }
 
-// FactDB holds facts for a set of packages, keyed package path → object
-// key → fact name → encoded fact. It is the driver's responsibility to
-// analyze packages in dependency order so that a pass's imports are
-// already present. A nil *FactDB is legal everywhere and holds nothing.
+// FactDB holds the facts of one run, keyed by object key and fact name.
+// It is the driver's responsibility to analyze packages in dependency
+// order so that a pass's imports are already present. A nil *FactDB is
+// legal everywhere and holds nothing.
 type FactDB struct {
-	pkgs     map[string]map[string]map[string]json.RawMessage
+	facts    map[factKey]Fact
 	exported []ExportedFact
 }
 
+// factKey names one fact: an ObjectKey and a FactName.
+type factKey struct{ obj, name string }
+
 // NewFactDB returns an empty fact database.
 func NewFactDB() *FactDB {
-	return &FactDB{pkgs: make(map[string]map[string]map[string]json.RawMessage)}
+	return &FactDB{facts: make(map[factKey]Fact)}
 }
 
 // ObjectKey returns the stable cross-package key of a package-level object
@@ -91,120 +90,39 @@ func (db *FactDB) export(obj types.Object, f Fact, pos token.Pos) error {
 	if !ok {
 		return fmt.Errorf("facts: object %v has no stable key", obj)
 	}
-	raw, err := json.Marshal(f)
-	if err != nil {
-		return fmt.Errorf("facts: encoding %s for %s: %w", f.FactName(), key, err)
-	}
-	pkgPath := obj.Pkg().Path()
-	pkg := db.pkgs[pkgPath]
-	if pkg == nil {
-		pkg = make(map[string]map[string]json.RawMessage)
-		db.pkgs[pkgPath] = pkg
-	}
-	facts := pkg[key]
-	if facts == nil {
-		facts = make(map[string]json.RawMessage)
-		pkg[key] = facts
-	}
-	facts[f.FactName()] = raw
-	db.exported = append(db.exported, ExportedFact{Pkg: pkgPath, Key: key, Pos: pos, Fact: f})
+	db.facts[factKey{key, f.FactName()}] = f
+	db.exported = append(db.exported, ExportedFact{Pkg: obj.Pkg().Path(), Key: key, Pos: pos, Fact: f})
 	return nil
 }
 
-// lookup decodes the fact recorded for obj under f's name into f,
-// reporting whether one existed and decoded.
+// lookup copies the fact recorded for obj under f's name into f, reporting
+// whether one existed. A fact of another type stored under the same name
+// reads as absent.
 func (db *FactDB) lookup(obj types.Object, f Fact) bool {
-	if db == nil || obj == nil || obj.Pkg() == nil {
+	if db == nil {
 		return false
 	}
 	key, ok := ObjectKey(obj)
 	if !ok {
 		return false
 	}
-	raw, ok := db.pkgs[obj.Pkg().Path()][key][f.FactName()]
+	stored, ok := db.facts[factKey{key, f.FactName()}]
 	if !ok {
 		return false
 	}
-	return json.Unmarshal(raw, f) == nil
+	dst, src := reflect.ValueOf(f), reflect.ValueOf(stored)
+	if dst.Type() != src.Type() || dst.Kind() != reflect.Pointer {
+		return false
+	}
+	dst.Elem().Set(src.Elem())
+	return true
 }
 
-// Exported returns the in-memory log of every fact exported into the
-// database, in export order.
+// Exported returns the log of every fact exported into the database, in
+// export order.
 func (db *FactDB) Exported() []ExportedFact {
 	if db == nil {
 		return nil
 	}
 	return db.exported
-}
-
-// maxFactsBytes bounds one package's serialized facts. Fact payloads are
-// short reason strings; a blob beyond this is corrupt input, not a bigger
-// package.
-const maxFactsBytes = 16 << 20
-
-// EncodePackage serializes one package's facts deterministically (sorted
-// keys at every level — the fact file must be as reproducible as the code
-// it describes). A package with no facts encodes as an empty object.
-func (db *FactDB) EncodePackage(pkgPath string) ([]byte, error) {
-	if db == nil {
-		return []byte("{}"), nil
-	}
-	// encoding/json marshals maps with sorted keys at every level, which is
-	// exactly the determinism the fact file needs.
-	data, err := json.Marshal(db.pkgs[pkgPath])
-	if err != nil {
-		return nil, fmt.Errorf("facts: encoding package %s: %w", pkgPath, err)
-	}
-	if data == nil || string(data) == "null" {
-		data = []byte("{}")
-	}
-	return data, nil
-}
-
-// DecodePackage loads one package's serialized facts, replacing whatever
-// the database held for that path. Hostile input degrades to an error —
-// never a panic and never gigabytes: the per-package size is bounded and
-// every entry must parse as a fact map.
-func (db *FactDB) DecodePackage(pkgPath string, data []byte) error {
-	if db == nil {
-		return fmt.Errorf("facts: decode into nil database")
-	}
-	if len(data) > maxFactsBytes {
-		return fmt.Errorf("facts: package %s: %d bytes exceeds the %d-byte bound", pkgPath, len(data), maxFactsBytes)
-	}
-	var pkg map[string]map[string]json.RawMessage
-	if err := json.Unmarshal(data, &pkg); err != nil {
-		return fmt.Errorf("facts: package %s: %w", pkgPath, err)
-	}
-	if db.pkgs == nil {
-		db.pkgs = make(map[string]map[string]map[string]json.RawMessage)
-	}
-	if pkg == nil {
-		pkg = make(map[string]map[string]json.RawMessage)
-	}
-	db.pkgs[pkgPath] = pkg
-	return nil
-}
-
-// DropPackage forgets one package's facts (the driver drops and re-decodes
-// each package after analyzing it, so every fact a dependent reads has
-// survived serialization).
-func (db *FactDB) DropPackage(pkgPath string) {
-	if db == nil {
-		return
-	}
-	delete(db.pkgs, pkgPath)
-}
-
-// Packages returns the paths holding facts, sorted.
-func (db *FactDB) Packages() []string {
-	if db == nil {
-		return nil
-	}
-	out := make([]string, 0, len(db.pkgs))
-	for p := range db.pkgs {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -8,7 +8,7 @@ import (
 
 // testFact is a minimal Fact for exercising the database directly.
 type testFact struct {
-	Reason string `json:"reason"`
+	Reason string
 }
 
 func (*testFact) FactName() string { return "test.fact" }
@@ -40,6 +40,17 @@ func TestObjectKey(t *testing.T) {
 	}
 }
 
+// otherFact shares testFact's name but not its type.
+type otherFact struct {
+	N int
+}
+
+func (*otherFact) FactName() string { return "test.fact" }
+
+// TestFactsRoundTrip exports facts on one set of objects and finds them
+// through a second, separately built set: a dependent's pass sees its
+// imports through export data, as objects other than the ones its
+// dependency's pass analyzed, so facts must resolve by key.
 func TestFactsRoundTrip(t *testing.T) {
 	_, fn, method := fixtureObjects()
 	db := NewFactDB()
@@ -50,58 +61,31 @@ func TestFactsRoundTrip(t *testing.T) {
 		t.Fatalf("export (*T).M: %v", err)
 	}
 
-	// The dependent must see facts through the serialized form, exactly
-	// like the driver's Encode → Drop → Decode discipline.
-	data, err := db.EncodePackage("example.com/p")
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	db.DropPackage("example.com/p")
-	var gone testFact
-	if db.lookup(fn, &gone) {
-		t.Fatal("lookup succeeded after DropPackage")
-	}
-	if err := db.DecodePackage("example.com/p", data); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-
+	_, fn2, method2 := fixtureObjects()
 	var got testFact
-	if !db.lookup(fn, &got) || got.Reason != "calls time.Now" {
-		t.Errorf("lookup(F) after round-trip = %+v, want reason %q", got, "calls time.Now")
+	if !db.lookup(fn2, &got) || got.Reason != "calls time.Now" {
+		t.Errorf("lookup(F) = %+v, want reason %q", got, "calls time.Now")
 	}
-	if !db.lookup(method, &got) || got.Reason != "writes global state" {
-		t.Errorf("lookup((*T).M) after round-trip = %+v, want reason %q", got, "writes global state")
+	if !db.lookup(method2, &got) || got.Reason != "writes global state" {
+		t.Errorf("lookup((*T).M) = %+v, want reason %q", got, "writes global state")
 	}
-
-	// Encoding is deterministic: same contents, same bytes.
-	again, err := db.EncodePackage("example.com/p")
-	if err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if string(data) != string(again) {
-		t.Errorf("encode is not deterministic:\n  first:  %s\n  second: %s", data, again)
+	// lookup copies: the caller's fact is its own.
+	got.Reason = "changed by the caller"
+	if !db.lookup(method2, &got) || got.Reason != "writes global state" {
+		t.Errorf("lookup((*T).M) after the caller changed its copy = %+v", got)
 	}
 
-	// A nil database is a legal no-op everywhere.
+	// A nil database finds nothing.
 	var nildb *FactDB
-	if nildb.lookup(fn, &got) {
+	if nildb.lookup(fn2, &got) {
 		t.Error("nil FactDB lookup reported a fact")
 	}
-	if _, err := nildb.EncodePackage("example.com/p"); err != nil {
-		t.Errorf("nil FactDB encode: %v", err)
-	}
-}
 
-func TestDecodeBounds(t *testing.T) {
-	db := NewFactDB()
-	huge := make([]byte, maxFactsBytes+1)
-	if err := db.DecodePackage("p", huge); err == nil {
-		t.Error("DecodePackage accepted an over-bound blob")
+	// A fact of another type under the same name reads as absent.
+	if err := db.export(fn, &otherFact{N: 1}, token.NoPos); err != nil {
+		t.Fatalf("export other fact on F: %v", err)
 	}
-	if err := db.DecodePackage("p", []byte(`{"k":`)); err == nil {
-		t.Error("DecodePackage accepted truncated JSON")
-	}
-	if err := db.DecodePackage("p", []byte(`null`)); err != nil {
-		t.Errorf("DecodePackage(null) = %v, want nil (empty package)", err)
+	if db.lookup(fn2, &got) {
+		t.Errorf("lookup(F) read a fact of another type as %+v", got)
 	}
 }

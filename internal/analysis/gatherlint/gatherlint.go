@@ -6,12 +6,11 @@
 // keeps the module itself clean.
 //
 // The driver is facts-aware: packages are analyzed in dependency order
-// over a shared fact database, and each package's facts are round-tripped
-// through their serialized form before any dependent reads them, so the
-// on-disk fact format is exercised on every run. Module-internal
-// dependencies of the requested packages are analyzed too (their facts
-// feed the interprocedural analyzers) but their findings are dropped —
-// they belong to runs that name them.
+// over one in-memory fact database, so every dependency's facts exist
+// before a dependent reads them. Module-internal dependencies of the
+// requested packages are analyzed too (their facts feed the
+// interprocedural analyzers) but their findings are dropped — they belong
+// to runs that name them.
 package gatherlint
 
 import (
@@ -43,15 +42,9 @@ func Suite() []*analysis.Analyzer {
 }
 
 // Run loads the packages matching the patterns and applies the analyzers,
-// returning every surviving finding.
-func Run(analyzers []*analysis.Analyzer, patterns ...string) ([]analysis.Diagnostic, error) {
-	diags, _, err := RunWithStats(analyzers, patterns...)
-	return diags, err
-}
-
-// RunWithStats is Run plus per-analyzer wall time, so CI can watch the
-// suite's cost.
-func RunWithStats(analyzers []*analysis.Analyzer, patterns ...string) ([]analysis.Diagnostic, *analysis.Stats, error) {
+// returning every surviving finding and the per-analyzer wall time, so CI
+// can watch the suite's cost.
+func Run(analyzers []*analysis.Analyzer, patterns ...string) ([]analysis.Diagnostic, *analysis.Stats, error) {
 	pkgs, err := load.Packages(patterns...)
 	if err != nil {
 		return nil, nil, err
@@ -64,23 +57,12 @@ func RunWithStats(analyzers []*analysis.Analyzer, patterns ...string) ([]analysi
 	stats := &analysis.Stats{}
 	var diags []analysis.Diagnostic
 	for _, pkg := range ordered {
-		d, err := analysis.RunPackageFacts(pkg, analyzers, db, stats)
+		d, err := analysis.RunPackage(pkg, analyzers, db, stats)
 		if err != nil {
 			return nil, nil, err
 		}
 		if !pkg.DepOnly {
 			diags = append(diags, d...)
-		}
-		// Round-trip this package's facts through their serialized form:
-		// every fact a dependent reads has survived encoding, so the format
-		// cannot rot unexercised.
-		data, err := db.EncodePackage(pkg.Path)
-		if err != nil {
-			return nil, nil, err
-		}
-		db.DropPackage(pkg.Path)
-		if err := db.DecodePackage(pkg.Path, data); err != nil {
-			return nil, nil, err
 		}
 	}
 	return diags, stats, nil

@@ -18,7 +18,7 @@ import (
 // its own determinism lint suite. A finding here means either a real
 // invariant violation or a missing //lint:allow with justification.
 func TestRepoIsLintClean(t *testing.T) {
-	diags, err := gatherlint.Run(gatherlint.Suite(), "nochatter/...")
+	diags, _, err := gatherlint.Run(gatherlint.Suite(), "nochatter/...")
 	if err != nil {
 		t.Fatalf("gatherlint.Run: %v", err)
 	}
@@ -28,16 +28,21 @@ func TestRepoIsLintClean(t *testing.T) {
 }
 
 // copyPackage copies the non-test Go files of a module package into a
-// fresh temp directory, so injection tests can mutate a copy of real code
-// without touching the tree.
-func copyPackage(t *testing.T, rel ...string) string {
+// GOPATH-shaped temp tree, <root>/<importPath>, so injection tests can
+// mutate a copy of real code without touching the tree. It returns the
+// root and the package's directory in it.
+func copyPackage(t *testing.T, importPath string) (root, dir string) {
 	t.Helper()
 	mod, err := load.ModuleDir()
 	if err != nil {
 		t.Fatalf("load.ModuleDir: %v", err)
 	}
-	src := filepath.Join(append([]string{mod}, rel...)...)
-	dir := t.TempDir()
+	src := filepath.Join(mod, filepath.FromSlash(strings.TrimPrefix(importPath, "nochatter/")))
+	root = t.TempDir()
+	dir = filepath.Join(root, filepath.FromSlash(importPath))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	names, err := filepath.Glob(filepath.Join(src, "*.go"))
 	if err != nil {
 		t.Fatal(err)
@@ -54,18 +59,19 @@ func copyPackage(t *testing.T, rel ...string) string {
 			t.Fatal(err)
 		}
 	}
-	return dir
+	return root, dir
 }
 
-// lintDir runs the full suite over one directory checked under the given
-// import path, failing the test on load or analysis errors.
-func lintDir(t *testing.T, dir, importPath string) []analysis.Diagnostic {
+// lintCopy runs the full suite over the copied package at importPath in
+// the tree at root, failing the test on load or analysis errors. Its
+// module imports come from export data, as in a gatherlint run.
+func lintCopy(t *testing.T, root, importPath string) []analysis.Diagnostic {
 	t.Helper()
-	pkg, err := load.Dir(dir, importPath)
+	pkg, err := load.NewTree(root).Load(importPath)
 	if err != nil {
-		t.Fatalf("load.Dir: %v", err)
+		t.Fatalf("load: %v", err)
 	}
-	diags, err := analysis.RunPackage(pkg, gatherlint.Suite())
+	diags, err := analysis.RunPackage(pkg, gatherlint.Suite(), nil, nil)
 	if err != nil {
 		t.Fatalf("analysis.RunPackage: %v", err)
 	}
@@ -89,9 +95,9 @@ func requireCleanBaseline(t *testing.T, diags []analysis.Diagnostic) {
 // formerly-clean package gains one nondeterministic map iteration, and
 // maporder must catch it.
 func TestInjectedViolationFails(t *testing.T) {
-	dir := copyPackage(t, "internal", "graph")
 	const path = "nochatter/internal/graph"
-	requireCleanBaseline(t, lintDir(t, dir, path))
+	root, dir := copyPackage(t, path)
+	requireCleanBaseline(t, lintCopy(t, root, path))
 
 	injected := `package graph
 
@@ -108,7 +114,7 @@ func DegreeLabels(byDegree map[int]string) []string {
 		t.Fatal(err)
 	}
 
-	diags := lintDir(t, dir, path)
+	diags := lintCopy(t, root, path)
 	found := false
 	for _, d := range diags {
 		if d.Analyzer == maporder.Analyzer.Name && strings.HasSuffix(d.Pos.Filename, "injected.go") {
@@ -125,9 +131,9 @@ func DegreeLabels(byDegree map[int]string) []string {
 // cost model gains a call to it. purity must walk the call chain and
 // report the root.
 func TestInjectedPurityViolationFails(t *testing.T) {
-	dir := copyPackage(t, "internal", "sched")
 	const path = "nochatter/internal/sched"
-	requireCleanBaseline(t, lintDir(t, dir, path))
+	root, dir := copyPackage(t, path)
+	requireCleanBaseline(t, lintCopy(t, root, path))
 
 	injected := `package sched
 
@@ -153,7 +159,7 @@ func nowNanos() int64 { return time.Now().UnixNano() }
 		t.Fatal(err)
 	}
 
-	diags := lintDir(t, dir, path)
+	diags := lintCopy(t, root, path)
 	found := false
 	for _, d := range diags {
 		if d.Analyzer == purity.Analyzer.Name && strings.Contains(d.Message, "DefaultCost") &&
@@ -169,9 +175,9 @@ func nowNanos() int64 { return time.Now().UnixNano() }
 // TestInjectedErrsinkViolationFails adds a method that drops a journal
 // Sync error on the floor; errsink must catch it.
 func TestInjectedErrsinkViolationFails(t *testing.T) {
-	dir := copyPackage(t, "internal", "journal")
 	const path = "nochatter/internal/journal"
-	requireCleanBaseline(t, lintDir(t, dir, path))
+	root, dir := copyPackage(t, path)
+	requireCleanBaseline(t, lintCopy(t, root, path))
 
 	injected := `package journal
 
@@ -184,7 +190,7 @@ func (j *Journal) lazySync() {
 		t.Fatal(err)
 	}
 
-	diags := lintDir(t, dir, path)
+	diags := lintCopy(t, root, path)
 	found := false
 	for _, d := range diags {
 		if d.Analyzer == errsink.Analyzer.Name && strings.HasSuffix(d.Pos.Filename, "injected.go") {

@@ -97,14 +97,16 @@ func Packages(patterns ...string) ([]*Package, error) {
 	}
 	pkgs := make([]*Package, 0, len(targets))
 	for _, e := range targets {
-		files := make([]string, len(e.GoFiles))
-		for i, f := range e.GoFiles {
-			files[i] = filepath.Join(e.Dir, f)
+		fset := token.NewFileSet()
+		files := make([]*ast.File, 0, len(e.GoFiles))
+		for _, name := range e.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(e.Dir, name), nil, parseMode)
+			if err != nil {
+				return nil, fmt.Errorf("load %s: %w", e.ImportPath, err)
+			}
+			files = append(files, f)
 		}
-		pkg, err := check(e.ImportPath, e.Dir, files, exports)
-		if err != nil {
-			return nil, fmt.Errorf("load %s: %w", e.ImportPath, err)
-		}
+		pkg := check(e.ImportPath, e.Dir, fset, files, exports, nil)
 		pkg.Imports = e.Imports
 		pkg.DepOnly = e.DepOnly
 		pkgs = append(pkgs, pkg)
@@ -112,12 +114,12 @@ func Packages(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// Tree loads testdata packages that may import each other from source: a
-// GOPATH-shaped root (testdata/src/<importpath>/*.go) where an import
-// resolving to a directory under the root is type-checked recursively from
-// source, and everything else comes from compiled export data like Dir.
-// All packages in one tree share a FileSet, so positions stay comparable
-// across fixture packages.
+// Tree loads packages that may import each other from source: a
+// GOPATH-shaped root (<root>/<importpath>/*.go, such as an analyzer's
+// testdata/src) where an import resolving to a directory under the root
+// is type-checked recursively from source, and everything else comes from
+// compiled export data, as in Packages. All packages in one tree share a
+// FileSet, so positions stay comparable across them.
 type Tree struct {
 	root string
 	fset *token.FileSet
@@ -151,7 +153,7 @@ func (t *Tree) Load(importPath string) (*Package, error) {
 	var files []*ast.File
 	imports := make(map[string]bool)
 	for _, name := range names {
-		f, err := parser.ParseFile(t.fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(t.fset, name, nil, parseMode)
 		if err != nil {
 			return nil, err
 		}
@@ -188,52 +190,13 @@ func (t *Tree) Load(importPath string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg, err := checkSources(importPath, dir, t.fset, files, exports, srcs)
-	if err != nil {
-		return nil, err
-	}
+	pkg := check(importPath, dir, t.fset, files, exports, srcs)
 	pkg.Imports = importList
 	t.pkgs[importPath] = pkg
 	return pkg, nil
 }
 
-// Dir loads a single package from an explicit directory of Go files —
-// testdata packages the go tool refuses to list — checked under the given
-// import path. Imports must resolve within the standard library (or
-// whatever `go list` can export from the enclosing module).
-func Dir(dir, importPath string) (*Package, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("load: no Go files in %s", dir)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	imports := make(map[string]bool)
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		for _, imp := range f.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err == nil && p != "unsafe" {
-				imports[p] = true
-			}
-		}
-	}
-	exports, err := exportData(imports)
-	if err != nil {
-		return nil, err
-	}
-	return checkParsed(importPath, dir, fset, files, exports)
-}
-
-// exportDataCache memoizes export-data lookups across Dir calls: analyzer
+// exportDataCache memoizes export-data lookups across Tree loads: analyzer
 // tests load many small testdata packages with overlapping stdlib imports,
 // and each `go list -export` run costs a toolchain invocation.
 var (
@@ -345,26 +308,8 @@ func runGoList(args []string) ([]listEntry, error) {
 	return entries, nil
 }
 
-// check parses the named files and type-checks them; see checkParsed.
-func check(importPath, dir string, filenames []string, exports map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range filenames {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return checkParsed(importPath, dir, fset, files, exports)
-}
-
-// checkParsed type-checks already-parsed files against the export-data
-// map. Type errors are recorded on the package, not fatal: the driver
-// decides whether a broken package fails the run.
-func checkParsed(importPath, dir string, fset *token.FileSet, files []*ast.File, exports map[string]string) (*Package, error) {
-	return checkSources(importPath, dir, fset, files, exports, nil)
-}
+// parseMode keeps comments: analyzers read //lint:allow annotations.
+const parseMode = parser.ParseComments | parser.SkipObjectResolution
 
 // treeImporter resolves imports preferring already source-checked packages
 // (fixture trees) and falling back to compiled export data.
@@ -380,9 +325,11 @@ func (t *treeImporter) Import(path string) (*types.Package, error) {
 	return t.gc.Import(path)
 }
 
-// checkSources is checkParsed with an extra map of source-checked
-// dependency packages that shadow export data.
-func checkSources(importPath, dir string, fset *token.FileSet, files []*ast.File, exports map[string]string, srcs map[string]*types.Package) (*Package, error) {
+// check type-checks parsed files against the export-data map, with
+// source-checked packages in srcs shadowing export data. Type errors are
+// recorded on the package, not fatal: the driver decides whether a broken
+// package fails the run.
+func check(importPath, dir string, fset *token.FileSet, files []*ast.File, exports map[string]string, srcs map[string]*types.Package) *Package {
 	pkg := &Package{Path: importPath, Dir: dir, Fset: fset, Files: files}
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
@@ -406,5 +353,5 @@ func checkSources(importPath, dir string, fset *token.FileSet, files []*ast.File
 	// Errors are collected via conf.Error; Check's own return duplicates
 	// the first of them.
 	pkg.Types, _ = conf.Check(importPath, fset, files, pkg.Info)
-	return pkg, nil
+	return pkg
 }

@@ -145,19 +145,7 @@ func nowNanos() int64 { return time.Now().UnixNano() }
 	if err := os.WriteFile(filepath.Join(dir, "injected.go"), []byte(injected), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	costGo := filepath.Join(dir, "cost.go")
-	data, err := os.ReadFile(costGo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const old = "cost += specCostFloor"
-	if !strings.Contains(string(data), old) {
-		t.Fatalf("cost.go no longer contains %q; update the injection", old)
-	}
-	patched := strings.Replace(string(data), old, "cost += specCostFloor + nowNanos()*0", 1)
-	if err := os.WriteFile(costGo, []byte(patched), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	patchFile(t, filepath.Join(dir, "cost.go"), "cost += specCostFloor", "cost += specCostFloor + nowNanos()*0")
 
 	diags := lintCopy(t, root, path)
 	found := false
@@ -169,6 +157,73 @@ func nowNanos() int64 { return time.Now().UnixNano() }
 	}
 	if !found {
 		t.Fatalf("purity did not flag the injected seed-root violation; findings: %v", diags)
+	}
+}
+
+// TestInjectedPurityCrossesExportData hides a wall-clock read under
+// spec.ScenarioSpec.AppendCanonical in a copy of internal/spec, then lints
+// an unmodified copy of internal/service, which sees spec only through
+// compiled export data, as every dependent does in a gatherlint run. The
+// impurity must reach the service's key roots through facts found by
+// object key, since the export-data objects are not the ones the spec
+// pass analyzed.
+func TestInjectedPurityCrossesExportData(t *testing.T) {
+	const specPath, servicePath = "nochatter/internal/spec", "nochatter/internal/service"
+	specRoot, specDir := copyPackage(t, specPath)
+	injected := `package spec
+
+import "time"
+
+// stampNanos leaks the wall clock into whoever calls it.
+func stampNanos() int64 { return time.Now().UnixNano() }
+`
+	if err := os.WriteFile(filepath.Join(specDir, "injected.go"), []byte(injected), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const appendCanonical = "func (s ScenarioSpec) AppendCanonical(dst []byte) ([]byte, error) {\n"
+	patchFile(t, filepath.Join(specDir, "canonical.go"), appendCanonical, appendCanonical+"\t_ = stampNanos()\n")
+	serviceRoot, _ := copyPackage(t, servicePath)
+
+	db := analysis.NewFactDB()
+	suite := []*analysis.Analyzer{purity.Analyzer}
+	var diags []analysis.Diagnostic
+	for _, c := range []struct{ root, path string }{{specRoot, specPath}, {serviceRoot, servicePath}} {
+		pkg, err := load.NewTree(c.root).Load(c.path)
+		if err != nil {
+			t.Fatalf("load %s: %v", c.path, err)
+		}
+		if diags, err = analysis.RunPackage(pkg, suite, db, nil); err != nil {
+			t.Fatalf("analysis.RunPackage %s: %v", c.path, err)
+		}
+	}
+	for _, root := range []string{"CanonicalSpec", "SpecKey", "SweepSummaryKey"} {
+		found := false
+		for _, d := range diags {
+			if strings.Contains(d.Message, root+" is a determinism seed root") &&
+				strings.Contains(d.Message, "spec.ScenarioSpec.AppendCanonical") &&
+				strings.Contains(d.Message, "stampNanos") {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("purity did not carry the spec impurity to %s; service findings: %v", root, diags)
+		}
+	}
+}
+
+// patchFile replaces the first occurrence of old in the file, failing the
+// test when the file no longer contains it.
+func patchFile(t *testing.T, file, old, new string) {
+	t.Helper()
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), old) {
+		t.Fatalf("%s no longer contains %q; update the injection", filepath.Base(file), old)
+	}
+	if err := os.WriteFile(file, []byte(strings.Replace(string(data), old, new, 1)), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

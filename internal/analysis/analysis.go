@@ -115,7 +115,7 @@ func (s *Stats) add(name string, d time.Duration) {
 // type errors yields those as diagnostics instead of running any analyzer
 // — findings over a package that does not compile would be noise. Facts
 // exported by the analyzers land in db, which must already hold the facts
-// of the package's dependencies (the driver analyzes in dependency order);
+// of the package's dependencies (gatherlint.Run analyzes in dependency order);
 // a nil db runs one package alone, where cross-package facts resolve to
 // nothing. stats, when non-nil, accumulates per-analyzer wall time.
 func RunPackage(pkg *load.Package, analyzers []*Analyzer, db *FactDB, stats *Stats) ([]Diagnostic, error) {

@@ -18,9 +18,9 @@ import (
 // export data and therefore through *different* types.Object values than
 // the pass that analyzed the dependency from source.
 //
-// Facts live in memory for one run, as the analyzers' own values: the
-// driver analyzes packages in dependency order over one FactDB, and no
-// fact is written to or read from a file.
+// Facts live in memory for one run, as the analyzers' own values:
+// gatherlint.Run analyzes packages in dependency order over one FactDB,
+// and no fact is written to or read from a file.
 
 // Fact is one typed statement about an object. Implementations must be
 // pointers; FactName returns a stable identifier ("purity.impure") that
@@ -40,9 +40,9 @@ type ExportedFact struct {
 }
 
 // FactDB holds the facts of one run, keyed by object key and fact name.
-// It is the driver's responsibility to analyze packages in dependency
-// order so that a pass's imports are already present. A nil *FactDB is
-// legal everywhere and holds nothing.
+// Callers analyze packages in dependency order so that a pass's imports
+// are already present. A nil *FactDB is legal everywhere and holds
+// nothing.
 type FactDB struct {
 	facts    map[factKey]Fact
 	exported []ExportedFact

@@ -327,8 +327,8 @@ func (t *treeImporter) Import(path string) (*types.Package, error) {
 
 // check type-checks parsed files against the export-data map, with
 // source-checked packages in srcs shadowing export data. Type errors are
-// recorded on the package, not fatal: the driver decides whether a broken
-// package fails the run.
+// recorded on the package, not fatal: analysis.RunPackage reports them as
+// findings instead of running the analyzers.
 func check(importPath, dir string, fset *token.FileSet, files []*ast.File, exports map[string]string, srcs map[string]*types.Package) *Package {
 	pkg := &Package{Path: importPath, Dir: dir, Fset: fset, Files: files}
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {

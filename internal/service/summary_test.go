@@ -3,12 +3,15 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"nochatter/internal/agg"
 	"nochatter/internal/sim"
@@ -301,5 +304,80 @@ func TestSweepSummaryKeyDerivation(t *testing.T) {
 	}
 	if single == oneSpec {
 		t.Fatal("summary keys must not collide with run-result keys")
+	}
+}
+
+// TestSummaryEnvelopeBytes pins the summary endpoint's bytes for jobs whose
+// ids need escaping and whose summaries carry group names that do: the
+// body is json.NewEncoder's encoding of the SummaryResponse, trailing
+// newline included, and ?canonical=1 serves CanonicalJSON alone.
+func TestSummaryEnvelopeBytes(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	ids := []string{"j000042", "odd<&>id", `q"uote\back`, "sep\u2028\u2029", "bad\xffutf8", "ünï", "ctl\x01\t"}
+	for i, id := range ids {
+		// Distinct specs per job, so each serves its own summary rather
+		// than an earlier job's cache entry.
+		specs, err := spec.SweepDef{Families: []string{"ring"}, Sizes: []int{6 + i}, Teams: []spec.Team{{Labels: []int{1, 2}}}}.Specs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := agg.NewSummary()
+		sum.Observe(agg.Key{Family: "<fam&" + id, N: 6 + i, K: 2, Algo: "al\"go\u2028"},
+			&sim.RunResult{Rounds: 10 + i, SteppedRounds: 3, Moves: 40}, nil, time.Duration(i+1)*time.Millisecond)
+		sum.Observe(agg.Key{Family: "ring", N: 6, K: 2, Algo: "known"}, nil, errors.New("failed run"), time.Microsecond)
+		jb := newJob(id, specs, true)
+		jb.state = JobDone
+		jb.completed = len(specs)
+		jb.summary = sum
+		jb.dequeued = true
+		svc.queue.install(jb)
+
+		get := func(query string) []byte {
+			t.Helper()
+			resp, err := http.Get(srv.URL + "/v1/jobs/" + url.PathEscape(id) + "/summary" + query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+				t.Fatalf("job %q%s: HTTP %d, Content-Type %q: %s", id, query, resp.StatusCode, resp.Header.Get("Content-Type"), body)
+			}
+			return body
+		}
+		first := get("") // stores the summary under its key; later serves hit
+		resp, found, err := svc.JobSummary(id)
+		if !found || err != nil || !resp.Cached {
+			t.Fatalf("job %q: JobSummary found=%v cached=%v err=%v", id, found, resp.Cached, err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		if got := get(""); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("job %q: summary body\n%q\nwant json.NewEncoder's\n%q", id, got, want.Bytes())
+		}
+		resp.Cached = false
+		want.Reset()
+		if err := json.NewEncoder(&want).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, want.Bytes()) {
+			t.Errorf("job %q: first summary body\n%q\nwant\n%q", id, first, want.Bytes())
+		}
+		canon, err := sum.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := get("?canonical=1"); !bytes.Equal(got, canon) {
+			t.Errorf("job %q: canonical body\n%q\nwant CanonicalJSON's\n%q", id, got, canon)
+		}
 	}
 }

@@ -206,7 +206,9 @@ func (d Dist) MarshalJSON() ([]byte, error) {
 // future-format documents fail loudly: a histogram with more than nBuckets
 // buckets, a negative count, sum or bucket, a negative or inverted
 // min/max range, or a bucket total disagreeing with Count would silently
-// produce wrong (or negative-rank) quantiles, so all are rejected.
+// produce wrong (or negative-rank) quantiles, so all are rejected. The
+// bucket total is checked against Count bucket by bucket, so it cannot
+// wrap around int64 and come out equal to Count.
 func (d *Dist) UnmarshalJSON(data []byte) error {
 	var w distWire
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -231,6 +233,9 @@ func (d *Dist) UnmarshalJSON(data []byte) error {
 	for i, c := range w.Buckets {
 		if c < 0 {
 			return fmt.Errorf("hist: histogram bucket %d is negative (%d)", i, c)
+		}
+		if c > w.Count-total {
+			return fmt.Errorf("hist: histogram buckets 0..%d sum past count %d", i, w.Count)
 		}
 		total += c
 	}

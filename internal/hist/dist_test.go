@@ -140,6 +140,17 @@ func TestDistUnmarshalRejectsCorrupt(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"count":3,"sum":3,"min":1,"max":1,"buckets":[0,2]}`), &d); err == nil {
 		t.Fatal("bucket total 2 vs count 3 must be rejected")
 	}
+	// Bucket totals that wrap around int64 to equal count: merged with one
+	// observation, the first leaves a bucket of MinInt64, whose encoding
+	// the decoder then rejects.
+	for _, doc := range []string{
+		`{"count":5,"sum":10,"min":1,"max":3,"buckets":[0,9223372036854775807,9223372036854775807,7]}`,
+		`{"count":0,"sum":0,"min":0,"max":0,"buckets":[9223372036854775807,9223372036854775807,2]}`,
+	} {
+		if err := json.Unmarshal([]byte(doc), &d); err == nil {
+			t.Fatalf("bucket total wrapping around int64 must be rejected: %s", doc)
+		}
+	}
 	long := `{"count":0,"sum":0,"min":0,"max":0,"buckets":[`
 	for i := 0; i < 65; i++ {
 		if i > 0 {

@@ -22,9 +22,13 @@
 package agg
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -63,19 +67,15 @@ func KeyOf(sp spec.ScenarioSpec) Key {
 	return k
 }
 
-// less orders keys lexicographically by (family, n, k, algo): the rendering
-// and marshaling order of groups.
-func (k Key) less(o Key) bool {
-	if k.Family != o.Family {
-		return k.Family < o.Family
-	}
-	if k.N != o.N {
-		return k.N < o.N
-	}
-	if k.K != o.K {
-		return k.K < o.K
-	}
-	return k.Algo < o.Algo
+// compare orders keys lexicographically by (family, n, k, algo): the
+// rendering and marshaling order of groups.
+func (k Key) compare(o Key) int {
+	return cmp.Or(
+		strings.Compare(k.Family, o.Family),
+		cmp.Compare(k.N, o.N),
+		cmp.Compare(k.K, o.K),
+		strings.Compare(k.Algo, o.Algo),
+	)
 }
 
 // Cell is the reduction of one group (or of the whole sweep, for
@@ -190,11 +190,28 @@ func (s *Summary) Merge(o *Summary) {
 // Groups returns the summary's groups sorted by key — the deterministic
 // order used for marshaling and rendering.
 func (s *Summary) Groups() []Group {
-	out := make([]Group, 0, len(s.groups))
-	for k, c := range s.groups {
-		out = append(out, Group{Key: k, Cell: *c})
+	refs := s.sortedGroups()
+	out := make([]Group, len(refs))
+	for i, g := range refs {
+		out[i] = Group{Key: g.key, Cell: *g.cell}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.less(out[j].Key) })
+	return out
+}
+
+// groupRef is one group of a summary by reference, so that walking the
+// groups in key order copies no cell.
+type groupRef struct {
+	key  Key
+	cell *Cell
+}
+
+// sortedGroups returns the summary's groups sorted by key.
+func (s *Summary) sortedGroups() []groupRef {
+	out := make([]groupRef, 0, len(s.groups))
+	for k, c := range s.groups {
+		out = append(out, groupRef{key: k, cell: c})
+	}
+	slices.SortFunc(out, func(a, b groupRef) int { return a.key.compare(b.key) })
 	return out
 }
 
@@ -207,51 +224,179 @@ func (s *Summary) Group(k Key) (Cell, bool) {
 	return *c, true
 }
 
-// summaryWire is the JSON form of a Summary.
-type summaryWire struct {
-	Total  Cell    `json:"total"`
-	Groups []Group `json:"groups,omitempty"`
+// AppendJSON appends the summary's wire form to dst and returns the
+// extended buffer: {"total":…,"groups":[…]}, groups in key order and the
+// "groups" member left out when there are none; each group is its key's
+// fields followed by its cell's. The bytes are those encoding/json writes
+// for the same structure, string escaping included, but they are written
+// in one pass, each Dist by hist.Dist.AppendJSON, without reflection and
+// without the re-scan encoding/json gives a nested marshaler's output.
+// The encoding of a given summary is deterministic.
+func (s *Summary) AppendJSON(dst []byte) []byte {
+	return s.appendJSON(dst, false)
 }
 
-// MarshalJSON renders the summary with groups in sorted key order; the
-// encoding of a given summary is deterministic.
+// AppendCanonicalJSON appends the summary's canonical encoding to dst:
+// AppendJSON's bytes with every wall_ns distribution written as an empty
+// one. Wall time is the one metric the machine decides rather than the
+// scenario, so it is excluded from the encoding over which bit-identity
+// (across parallelism degrees, across recomputation from raw results,
+// across deployment shapes) is guaranteed and tested.
+func (s *Summary) AppendCanonicalJSON(dst []byte) []byte {
+	return s.appendJSON(dst, true)
+}
+
+func (s *Summary) appendJSON(dst []byte, canonical bool) []byte {
+	dst = append(dst, `{"total":{`...)
+	dst = s.Total.appendFields(dst, canonical)
+	dst = append(dst, '}')
+	if len(s.groups) > 0 {
+		dst = append(dst, `,"groups":[`...)
+		for i, g := range s.sortedGroups() {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"family":`...)
+			dst = appendString(dst, g.key.Family)
+			dst = append(dst, `,"n":`...)
+			dst = strconv.AppendInt(dst, int64(g.key.N), 10)
+			dst = append(dst, `,"k":`...)
+			dst = strconv.AppendInt(dst, int64(g.key.K), 10)
+			dst = append(dst, `,"algo":`...)
+			dst = appendString(dst, g.key.Algo)
+			dst = append(dst, ',')
+			dst = g.cell.appendFields(dst, canonical)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
+}
+
+// appendFields appends the cell's members, without braces; canonical
+// writes Wall as the empty Dist.
+func (c *Cell) appendFields(dst []byte, canonical bool) []byte {
+	dst = append(dst, `"runs":`...)
+	dst = strconv.AppendInt(dst, c.Runs, 10)
+	dst = append(dst, `,"errors":`...)
+	dst = strconv.AppendInt(dst, c.Errors, 10)
+	dst = append(dst, `,"gathered":`...)
+	dst = strconv.AppendInt(dst, c.Gathered, 10)
+	dst = append(dst, `,"rounds":`...)
+	dst = c.Rounds.AppendJSON(dst)
+	dst = append(dst, `,"stepped_rounds":`...)
+	dst = c.Stepped.AppendJSON(dst)
+	dst = append(dst, `,"moves":`...)
+	dst = c.Moves.AppendJSON(dst)
+	dst = append(dst, `,"wall_ns":`...)
+	wall := &c.Wall
+	if canonical {
+		wall = &hist.Dist{}
+	}
+	return wall.AppendJSON(dst)
+}
+
+// appendString appends s as encoding/json writes a string. Printable
+// ASCII other than ", \ and the HTML-sensitive <, > and & is copied
+// between quotes; any other string goes through encoding/json, which
+// escapes it and replaces invalid UTF-8 with U+FFFD.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			enc, _ := json.Marshal(s) // a string always marshals
+			return append(dst, enc...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// MarshalJSON returns AppendJSON's encoding in a slice of its exact size:
+// callers such as the journal keep these bytes for the process lifetime.
 func (s *Summary) MarshalJSON() ([]byte, error) {
-	return json.Marshal(summaryWire{Total: s.Total, Groups: s.Groups()})
+	return bytes.Clone(s.AppendJSON(s.encodeBuf())), nil
+}
+
+// CanonicalJSON returns AppendCanonicalJSON's encoding in a slice of its
+// exact size: the journal keeps every chunk's canonical bytes for the
+// process lifetime. The error is always nil.
+func (s *Summary) CanonicalJSON() ([]byte, error) {
+	return bytes.Clone(s.AppendCanonicalJSON(s.encodeBuf())), nil
+}
+
+// encodeBuf returns an empty buffer with room for a typical encoding of
+// s, about a kilobyte per cell.
+func (s *Summary) encodeBuf() []byte {
+	return make([]byte, 0, (1+len(s.groups))<<10)
+}
+
+// cellWire is a Cell as encoding/json decodes it: the same members, with
+// each Dist as its hist.Wire. A summary so decodes in one pass over the
+// document, and each Dist is validated once, by hist.Dist.Restore, rather
+// than by a nested UnmarshalJSON that decodes its bytes a second time.
+type cellWire struct {
+	Runs     int64     `json:"runs"`
+	Errors   int64     `json:"errors"`
+	Gathered int64     `json:"gathered"`
+	Rounds   hist.Wire `json:"rounds"`
+	Stepped  hist.Wire `json:"stepped_rounds"`
+	Moves    hist.Wire `json:"moves"`
+	Wall     hist.Wire `json:"wall_ns"`
+}
+
+// restore sets c from w, or returns the first Dist's validation error.
+func (c *Cell) restore(w *cellWire) error {
+	c.Runs, c.Errors, c.Gathered = w.Runs, w.Errors, w.Gathered
+	for _, m := range [...]struct {
+		d *hist.Dist
+		w *hist.Wire
+	}{{&c.Rounds, &w.Rounds}, {&c.Stepped, &w.Stepped}, {&c.Moves, &w.Moves}, {&c.Wall, &w.Wall}} {
+		if err := m.d.Restore(m.w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// summaryWire is a Summary as encoding/json decodes it.
+type summaryWire struct {
+	Total  cellWire `json:"total"`
+	Groups []struct {
+		Key
+		cellWire
+	} `json:"groups"`
 }
 
 // UnmarshalJSON restores a summary (a served wire document) into a
-// foldable, mergeable value.
+// foldable, mergeable value. It accepts the documents a decode into
+// Summary's own structure accepts, with each Dist validated as
+// hist.Dist.UnmarshalJSON validates it, and rejects a document that lists
+// one group key twice. On error s is left as it was.
 func (s *Summary) UnmarshalJSON(data []byte) error {
 	var w summaryWire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	s.Total = w.Total
-	s.groups = make(map[Key]*Cell, len(w.Groups))
-	for _, g := range w.Groups {
-		if _, dup := s.groups[g.Key]; dup {
+	var total Cell
+	if err := total.restore(&w.Total); err != nil {
+		return err
+	}
+	cells := make([]Cell, len(w.Groups))
+	for i := range w.Groups {
+		if err := cells[i].restore(&w.Groups[i].cellWire); err != nil {
+			return err
+		}
+	}
+	groups := make(map[Key]*Cell, len(w.Groups))
+	for i, g := range w.Groups {
+		if _, dup := groups[g.Key]; dup {
 			return fmt.Errorf("agg: duplicate summary group %+v", g.Key)
 		}
-		cell := g.Cell
-		s.groups[g.Key] = &cell
+		groups[g.Key] = &cells[i]
 	}
+	s.Total, s.groups = total, groups
 	return nil
-}
-
-// CanonicalJSON returns the summary's deterministic encoding: the regular
-// wire form with every Wall distribution zeroed. Wall time is the one
-// metric the machine decides rather than the scenario, so it is excluded
-// from the encoding over which bit-identity (across parallelism degrees,
-// across recomputation from raw results) is guaranteed and tested.
-func (s *Summary) CanonicalJSON() ([]byte, error) {
-	c := &Summary{Total: s.Total, groups: make(map[Key]*Cell, len(s.groups))}
-	c.Total.Wall = hist.Dist{}
-	for k, cell := range s.groups {
-		cp := *cell
-		cp.Wall = hist.Dist{}
-		c.groups[k] = &cp
-	}
-	return json.Marshal(c)
 }
 
 // Summarize compiles and runs every spec on r's worker pool, folding each

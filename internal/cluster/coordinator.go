@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -234,7 +233,7 @@ func (c *Coordinator) SummarizeSpecs(ctx context.Context, specs []spec.ScenarioS
 					continue
 				}
 				sum := agg.NewSummary()
-				if json.Unmarshal(buf, sum) != nil {
+				if sum.UnmarshalJSON(buf) != nil {
 					continue // an undecodable entry is just a cache miss
 				}
 				sums[ch.Index] = sum

@@ -17,10 +17,12 @@
 package hist
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 )
 
 // nBuckets is the number of histogram buckets: bits.Len64 of a non-negative
@@ -160,10 +162,81 @@ func (d *Dist) Quantile(q float64) float64 {
 	return float64(d.Max) // unreachable: the loop covers all Count observations
 }
 
-// distWire is the JSON form of a Dist: the mergeable state (count, sum,
-// min, max, trimmed buckets) plus derived conveniences (mean, p50, p90,
-// p99) recomputed from that state on every marshal.
-type distWire struct {
+// AppendJSON appends the Dist's JSON form to dst and returns the extended
+// buffer: the mergeable state (count, sum, min, max, buckets trimmed after
+// the last non-empty one and left out when all are empty) plus derived
+// conveniences (mean, p50, p90, p99) recomputed from that state. The bytes
+// are those encoding/json writes for the same fields, floats included, in
+// one pass and without reflection. The encoding is deterministic: fixed
+// field order, integral state, and derived floats computed by fixed
+// formulas from that state.
+func (d *Dist) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"count":`...)
+	dst = strconv.AppendInt(dst, d.Count, 10)
+	dst = append(dst, `,"sum":`...)
+	dst = strconv.AppendInt(dst, d.Sum, 10)
+	dst = append(dst, `,"min":`...)
+	dst = strconv.AppendInt(dst, d.Min, 10)
+	dst = append(dst, `,"max":`...)
+	dst = strconv.AppendInt(dst, d.Max, 10)
+	dst = append(dst, `,"mean":`...)
+	dst = appendFloat(dst, d.Mean())
+	dst = append(dst, `,"p50":`...)
+	dst = appendFloat(dst, d.Quantile(0.50))
+	dst = append(dst, `,"p90":`...)
+	dst = appendFloat(dst, d.Quantile(0.90))
+	dst = append(dst, `,"p99":`...)
+	dst = appendFloat(dst, d.Quantile(0.99))
+	top := -1
+	for i, c := range d.buckets {
+		if c != 0 {
+			top = i
+		}
+	}
+	if top >= 0 {
+		dst = append(dst, `,"buckets":[`...)
+		for i, c := range d.buckets[:top+1] {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, c, 10)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that round-trips, with an exponent only below 1e-6 or from 1e21
+// on, and the exponent's leading zero dropped (e-07 becomes e-7). A Dist's
+// derived floats are always finite, so the NaN and infinity encoding/json
+// refuses never reach it.
+func appendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// MarshalJSON returns AppendJSON's encoding in a slice of its exact size.
+func (d Dist) MarshalJSON() ([]byte, error) {
+	var buf [512]byte // room for a Dist with a dozen wide buckets
+	return bytes.Clone(d.AppendJSON(buf[:0])), nil
+}
+
+// Wire is a Dist's JSON form as encoding/json decodes it: every field
+// AppendJSON writes. The derived ones are decoded only to be checked as
+// numbers, and then ignored. A document holding many Dists (an
+// internal/agg summary) decodes into Wires in one pass and restores each
+// with Restore, rather than having encoding/json hand every Dist's bytes
+// to UnmarshalJSON for a second decode.
+type Wire struct {
 	Count   int64   `json:"count"`
 	Sum     int64   `json:"sum"`
 	Min     int64   `json:"min"`
@@ -175,45 +248,18 @@ type distWire struct {
 	Buckets []int64 `json:"buckets,omitempty"`
 }
 
-// MarshalJSON renders the Dist with derived fields included. The encoding
-// is deterministic: fixed field order, integral state, and derived floats
-// computed by fixed formulas from that state.
-func (d Dist) MarshalJSON() ([]byte, error) {
-	w := distWire{
-		Count: d.Count,
-		Sum:   d.Sum,
-		Min:   d.Min,
-		Max:   d.Max,
-		Mean:  d.Mean(),
-		P50:   d.Quantile(0.50),
-		P90:   d.Quantile(0.90),
-		P99:   d.Quantile(0.99),
-	}
-	top := -1
-	for i, c := range d.buckets {
-		if c != 0 {
-			top = i
-		}
-	}
-	if top >= 0 {
-		w.Buckets = d.buckets[:top+1]
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON restores the mergeable state; derived fields are recomputed
-// on demand, so a decoded Dist re-marshals to the same bytes. Corrupt or
-// future-format documents fail loudly: a histogram with more than nBuckets
-// buckets, a negative count, sum or bucket, a negative or inverted
-// min/max range, or a bucket total disagreeing with Count would silently
-// produce wrong (or negative-rank) quantiles, so all are rejected. The
-// bucket total is checked against Count bucket by bucket, so it cannot
-// wrap around int64 and come out equal to Count.
-func (d *Dist) UnmarshalJSON(data []byte) error {
-	var w distWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
+// Restore sets d to the Dist w describes, or leaves d as it is and
+// returns an error for a corrupt or future-format w. The derived fields
+// are not read: they are recomputed on demand, so a restored Dist
+// re-encodes to the same bytes.
+//
+// A histogram with more than 64 buckets, a negative count, sum or bucket,
+// a negative or inverted min/max range, or a bucket total disagreeing
+// with Count would silently produce wrong (or negative-rank) quantiles,
+// so all are rejected. The bucket total is checked against Count bucket
+// by bucket — no bucket may exceed Count less the buckets before it — so
+// it cannot wrap around int64 and come out equal to Count.
+func (d *Dist) Restore(w *Wire) error {
 	if w.Count < 0 {
 		return fmt.Errorf("hist: histogram count %d is negative", w.Count)
 	}
@@ -245,4 +291,15 @@ func (d *Dist) UnmarshalJSON(data []byte) error {
 	*d = Dist{Count: w.Count, Sum: w.Sum, Min: w.Min, Max: w.Max}
 	copy(d.buckets[:], w.Buckets)
 	return nil
+}
+
+// UnmarshalJSON decodes a Wire and restores it (Restore): corrupt or
+// future-format documents fail loudly, and a decoded Dist re-marshals to
+// the same bytes.
+func (d *Dist) UnmarshalJSON(data []byte) error {
+	var w Wire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	return d.Restore(&w)
 }

@@ -213,11 +213,13 @@ func (s *Service) handleJobResults(w http.ResponseWriter, r *http.Request) {
 // request or an identical sweep. A failed or canceled job has no summary
 // and answers 409.
 //
-// ?canonical=1 serves the summary's canonical encoding alone — no
-// response envelope (job id, cache flag) and wall time zeroed — so the
-// bodies of two runs of the same sweep compare byte-identical across any
-// deployment shape: one process, one daemon, or a coordinator fanning out
-// to a worker fleet (the cluster-smoke CI job does exactly that).
+// The body is the SummaryResponse as json.NewEncoder would write it,
+// trailing newline included, written in one pass. ?canonical=1 serves the
+// summary's canonical encoding alone — no response envelope (job id,
+// cache flag) and wall time zeroed — so the bodies of two runs of the same
+// sweep compare byte-identical across any deployment shape: one process,
+// one daemon, or a coordinator fanning out to a worker fleet (the
+// cluster-smoke CI job does exactly that).
 func (s *Service) handleJobSummary(w http.ResponseWriter, r *http.Request) {
 	canonical := false
 	switch v := r.URL.Query().Get("canonical"); v {
@@ -241,18 +243,15 @@ func (s *Service) handleJobSummary(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "%v", err)
 		return
 	}
+	buf := make([]byte, 0, 8<<10) // a few groups' summary without regrowth
 	if canonical {
-		buf, err := resp.Summary.CanonicalJSON()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(buf)
-		return
+		buf = resp.Summary.AppendCanonicalJSON(buf)
+	} else {
+		buf = resp.appendJSON(buf)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf)
 }
 
 // JobTrace is the wire form of GET /v1/jobs/{id}/trace: the job's

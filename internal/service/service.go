@@ -358,7 +358,7 @@ func (s *Service) restoreTerminal(id string, specs []spec.ScenarioSpec, js *jour
 	var sum *agg.Summary
 	if state == JobDone {
 		sum = agg.NewSummary()
-		if len(js.Summary) == 0 || json.Unmarshal(js.Summary, sum) != nil {
+		if len(js.Summary) == 0 || sum.UnmarshalJSON(js.Summary) != nil {
 			return
 		}
 	}
@@ -382,7 +382,7 @@ func (s *Service) journalTerminal(jb *job, state JobState, errMsg string) {
 	var sumRaw json.RawMessage
 	if state == JobDone {
 		if sum := jb.summarySnapshot(); sum != nil {
-			sumRaw, _ = json.Marshal(sum)
+			sumRaw, _ = sum.MarshalJSON()
 		}
 	}
 	//lint:allow errsink the journal records write errors internally and Close surfaces them; a lost terminal record re-runs the job on resume, never corrupts it

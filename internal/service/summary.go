@@ -3,7 +3,9 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"nochatter/internal/agg"
 	"nochatter/internal/spec"
@@ -47,6 +49,36 @@ type SummaryResponse struct {
 	Cached  bool         `json:"cached"`
 	State   JobState     `json:"state"`
 	Summary *agg.Summary `json:"summary"`
+}
+
+// appendJSON appends r as json.NewEncoder(w).Encode(r) writes it, trailing
+// newline included, with the summary written in one pass
+// (agg.Summary.AppendJSON) rather than through encoding/json's reflection
+// and its re-scan of the summary's MarshalJSON output.
+func (r *SummaryResponse) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"job_id":`...)
+	dst = appendString(dst, r.JobID)
+	dst = append(dst, `,"key":`...)
+	dst = appendString(dst, r.Key)
+	dst = append(dst, `,"specs":`...)
+	dst = strconv.AppendInt(dst, int64(r.Specs), 10)
+	dst = append(dst, `,"cached":`...)
+	dst = strconv.AppendBool(dst, r.Cached)
+	dst = append(dst, `,"state":`...)
+	dst = appendString(dst, string(r.State))
+	dst = append(dst, `,"summary":`...)
+	if r.Summary == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = r.Summary.AppendJSON(dst)
+	}
+	return append(dst, "}\n"...)
+}
+
+// appendString appends s as encoding/json writes a string.
+func appendString(dst []byte, s string) []byte {
+	enc, _ := json.Marshal(s) // a string always marshals
+	return append(dst, enc...)
 }
 
 // JobSummary returns the summary of a job without blocking: found reports

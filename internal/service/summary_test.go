@@ -310,7 +310,8 @@ func TestSweepSummaryKeyDerivation(t *testing.T) {
 // TestSummaryEnvelopeBytes pins the summary endpoint's bytes for jobs whose
 // ids need escaping and whose summaries carry group names that do: the
 // body is json.NewEncoder's encoding of the SummaryResponse, trailing
-// newline included, and ?canonical=1 serves CanonicalJSON alone.
+// newline included, and ?canonical=1 serves CanonicalJSON alone. The
+// envelope writer also matches json.NewEncoder on a nil summary.
 func TestSummaryEnvelopeBytes(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
@@ -378,6 +379,19 @@ func TestSummaryEnvelopeBytes(t *testing.T) {
 		}
 		if got := get("?canonical=1"); !bytes.Equal(got, canon) {
 			t.Errorf("job %q: canonical body\n%q\nwant CanonicalJSON's\n%q", id, got, canon)
+		}
+	}
+
+	// The handler serves no nil summary, but the envelope writer still
+	// writes one as encoding/json does.
+	for _, id := range ids {
+		resp := SummaryResponse{JobID: id, Key: "k<" + id, Specs: -1, State: JobFailed}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.appendJSON(nil); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("nil summary of job %q:\n%q\nwant json.NewEncoder's\n%q", id, got, want.Bytes())
 		}
 	}
 }

@@ -53,7 +53,7 @@
 //	GET    /v1/jobs/{id}/summary streaming aggregate of the sweep (counts,
 //	                             p50/p90/p99 of rounds, stepped rounds,
 //	                             moves, wall time; grouped by sweep axes),
-//	                             cached under a key derived from the specs;
+//	                             keyed by a hash of the specs;
 //	                             ?canonical=1 serves the deterministic
 //	                             encoding alone, for byte comparison
 //	                             across deployment shapes

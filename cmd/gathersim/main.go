@@ -342,8 +342,8 @@ func runSweepRemote(path, base string, watch bool) error {
 		return fmt.Errorf("remote sweep: %w", err)
 	}
 	s := sr.Summary
-	s.Table(fmt.Sprintf("remote sweep summary (%d scenarios in %v, job %s, cached=%v)",
-		s.Total.Runs, time.Since(start).Round(time.Millisecond), acc.JobID, sr.Cached)).Render(os.Stdout)
+	s.Table(fmt.Sprintf("remote sweep summary (%d scenarios in %v, job %s)",
+		s.Total.Runs, time.Since(start).Round(time.Millisecond), acc.JobID)).Render(os.Stdout)
 	if s.Total.Errors > 0 {
 		return fmt.Errorf("%d of %d scenarios failed", s.Total.Errors, s.Total.Runs)
 	}

@@ -2,8 +2,8 @@
 // definition as an async job, follows the NDJSON result stream in input
 // order, fetches the sweep's streaming summary (GET /v1/jobs/{id}/summary —
 // one aggregate document with grouped percentiles instead of a row per
-// scenario), resubmits the same sweep summary=only to show the
-// summary-cache hit and the raw-row refusal, and finally demonstrates the
+// scenario), resubmits the same sweep summary=only to show that a second
+// job folds the same summary under the same key, and finally demonstrates the
 // content-addressed result cache by running one spec twice ("cached":
 // false, then true).
 //
@@ -118,8 +118,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nsummary (cached=%v): %d runs, %d gathered, median gather round %.0f\n",
-		sum.Cached, sum.Summary.Total.Runs, sum.Summary.Total.Gathered,
+	fmt.Printf("\nsummary: %d runs, %d gathered, median gather round %.0f\n",
+		sum.Summary.Total.Runs, sum.Summary.Total.Gathered,
 		sum.Summary.Total.Rounds.Quantile(0.5))
 	for _, g := range sum.Summary.Groups() {
 		fmt.Printf("  %-7s n=%-3d rounds p50 %-8.0f p99 %-8.0f moves p50 %.0f\n",
@@ -127,9 +127,10 @@ func run() error {
 	}
 
 	// The same sweep submitted summary=only: the job retains no raw rows
-	// at all (its results endpoint answers 409), and because the summary is
-	// a deterministic artifact cached under a key derived from the specs,
-	// this second job's summary is served from cache — "cached": true.
+	// at all (its results endpoint answers 409). Its runs are result-cache
+	// hits, and because a summary is a deterministic function of its specs,
+	// this second job folds the same summary under the same key — a
+	// content address derived from the specs.
 	resp, err = http.Post(base+"/v1/sweeps?summary=only", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -150,8 +151,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("summary-only resubmission %s: cached=%v, same key=%v\n",
-		acc2.JobID, sum2.Cached, sum2.Key == sum.Key)
+	c1, err := sum.Summary.CanonicalJSON()
+	if err != nil {
+		return err
+	}
+	c2, err := sum2.Summary.CanonicalJSON()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("summary-only resubmission %s: same key=%v, same canonical summary=%v\n",
+		acc2.JobID, sum2.Key == sum.Key, bytes.Equal(c1, c2))
 
 	// The cache in action: the same spec twice. Identical specs are pure
 	// functions of their canonical JSON, so the second run is an O(1)

@@ -7,10 +7,16 @@ import (
 	"nochatter/internal/sim"
 )
 
-// resultCache is a bounded LRU of run outcomes keyed by spec hash — a
-// *sim.RunResult on success or a cachedFailure on deterministic failure.
-// Cached values are shared between all readers and must be treated as
-// read-only; the service only ever serializes them.
+// resultCache is a bounded LRU of run outcomes keyed by spec hash: a
+// result on success, the error on a deterministic failure. Cached results
+// are shared between all readers and must be treated as read-only; the
+// service only ever serializes them.
+//
+// Failures are memoized too: a spec that failed to compile or run will
+// fail identically on resubmission (the registries are stable for a
+// daemon's lifetime), so the failure is served from cache rather than
+// re-simulated — otherwise one known-bad, max-rounds-exhausting spec could
+// busy-loop the engine via sequential resubmission.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -18,18 +24,11 @@ type resultCache struct {
 	items map[string]*list.Element
 }
 
-// cachedFailure is a memoized deterministic error: a spec that failed to
-// compile or run will fail identically on resubmission (the registries are
-// stable for a daemon's lifetime), so the failure is served from cache
-// rather than re-simulated — otherwise one known-bad, max-rounds-exhausting
-// spec could busy-loop the engine via sequential resubmission.
-type cachedFailure struct {
-	msg string
-}
-
+// cacheEntry is one run outcome: res on success, err on failure.
 type cacheEntry struct {
 	key string
-	res any
+	res *sim.RunResult
+	err error
 }
 
 func newResultCache(capacity int) *resultCache {
@@ -40,28 +39,28 @@ func newResultCache(capacity int) *resultCache {
 }
 
 // get returns the cached outcome for key, refreshing its recency.
-func (c *resultCache) get(key string) (any, bool) {
+func (c *resultCache) get(key string) (cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return cacheEntry{}, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return *el.Value.(*cacheEntry), true
 }
 
-// add inserts (or refreshes) key, evicting the least recently used entry
-// when over capacity.
-func (c *resultCache) add(key string, res any) {
+// add inserts (or refreshes) key's outcome, evicting the least recently
+// used entry when over capacity.
+func (c *resultCache) add(key string, res *sim.RunResult, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).res = res
+		*el.Value.(*cacheEntry) = cacheEntry{key, res, err}
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
+	c.items[key] = c.ll.PushFront(&cacheEntry{key, res, err})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

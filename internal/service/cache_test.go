@@ -18,16 +18,16 @@ func res(rounds int) *sim.RunResult { return &sim.RunResult{Rounds: rounds} }
 // re-add refresh recency.
 func TestCacheEvictionOrder(t *testing.T) {
 	c := newResultCache(3)
-	c.add("a", res(1))
-	c.add("b", res(2))
-	c.add("c", res(3))
+	c.add("a", res(1), nil)
+	c.add("b", res(2), nil)
+	c.add("c", res(3), nil)
 
 	// Touch a: recency order becomes a, c, b.
 	if _, ok := c.get("a"); !ok {
 		t.Fatalf("a missing before any eviction")
 	}
 	// Insert d: b (least recently used) must go.
-	c.add("d", res(4))
+	c.add("d", res(4), nil)
 	if _, ok := c.get("b"); ok {
 		t.Errorf("b survived although it was least recently used")
 	}
@@ -37,14 +37,14 @@ func TestCacheEvictionOrder(t *testing.T) {
 
 	// Re-add c (refresh, no growth), then insert two more: evictions must
 	// follow recency (a, then d), never the refreshed c.
-	c.add("c", res(33))
-	c.add("e", res(5))
-	c.add("f", res(6))
+	c.add("c", res(33), nil)
+	c.add("e", res(5), nil)
+	c.add("f", res(6), nil)
 	if got, want := c.keysMRU(), []string{"f", "e", "c"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("recency order after pressure: got %v, want %v", got, want)
 	}
-	if r, ok := c.get("c"); !ok || r.(*sim.RunResult).Rounds != 33 {
-		t.Errorf("refreshed entry lost its new value: %+v ok=%v", r, ok)
+	if e, ok := c.get("c"); !ok || e.res.Rounds != 33 {
+		t.Errorf("refreshed entry lost its new value: %+v ok=%v", e, ok)
 	}
 	if c.len() != 3 {
 		t.Errorf("cache grew past capacity: %d entries", c.len())
@@ -138,12 +138,12 @@ func TestSingleflightCollapsesConcurrentSubmissions(t *testing.T) {
 // TestCacheCapacityOneStillServes pins the degenerate capacity.
 func TestCacheCapacityOneStillServes(t *testing.T) {
 	c := newResultCache(0) // clamps to 1
-	c.add("a", res(1))
-	c.add("b", res(2))
+	c.add("a", res(1), nil)
+	c.add("b", res(2), nil)
 	if _, ok := c.get("a"); ok {
 		t.Errorf("capacity-1 cache kept two entries")
 	}
-	if r, ok := c.get("b"); !ok || r.(*sim.RunResult).Rounds != 2 {
+	if e, ok := c.get("b"); !ok || e.res.Rounds != 2 {
 		t.Errorf("latest entry missing")
 	}
 }

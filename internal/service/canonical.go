@@ -13,11 +13,12 @@
 // ordered list of specs, each served through the cache.
 //
 // Aggregates ride it too (summary.go): every job folds its results into a
-// streaming internal/agg summary as it runs, and because that summary is a
-// deterministic function of the job's specs, it is cached under a derived
-// key (SweepSummaryKey) and served to repeat sweeps without refolding —
-// GET /v1/jobs/{id}/summary, and POST /v1/sweeps?summary=only for sweeps
-// that never retain a raw row at all. See DESIGN.md §9.
+// streaming internal/agg summary as it runs and serves that fold under a
+// key derived from its specs (SweepSummaryKey) — a summary is a
+// deterministic function of the specs, so identical sweeps share key and
+// canonical bytes. GET /v1/jobs/{id}/summary serves it, and
+// POST /v1/sweeps?summary=only runs sweeps that never retain a raw row at
+// all. See DESIGN.md §9.
 package service
 
 import (

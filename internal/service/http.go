@@ -46,8 +46,7 @@ type errorResponse struct {
 //	                             (?summary=only discards raw result rows)
 //	GET    /v1/jobs/{id}         job status
 //	GET    /v1/jobs/{id}/results job results, NDJSON, input order, streamed
-//	GET    /v1/jobs/{id}/summary streaming aggregate of the whole sweep,
-//	                             served from the summary cache on repeat
+//	GET    /v1/jobs/{id}/summary streaming aggregate of the whole sweep
 //	                             (?canonical=1: canonical encoding alone)
 //	GET    /v1/jobs/{id}/trace   lifecycle trace: job + chunk events, JSON
 //	DELETE /v1/jobs/{id}         cancel a job
@@ -208,15 +207,13 @@ func (s *Service) handleJobResults(w http.ResponseWriter, r *http.Request) {
 
 // handleJobSummary serves the sweep's streaming aggregate. It long-polls:
 // a request against a still-running job blocks until the job is terminal
-// (or the client goes away), then serves the summary — from the summary
-// cache when this sweep's derived key was already stored by an earlier
-// request or an identical sweep. A failed or canceled job has no summary
-// and answers 409.
+// (or the client goes away), then serves the summary the job folded. A
+// failed or canceled job has no summary and answers 409.
 //
 // The body is the SummaryResponse as json.NewEncoder would write it,
 // trailing newline included, written in one pass. ?canonical=1 serves the
-// summary's canonical encoding alone — no response envelope (job id,
-// cache flag) and wall time zeroed — so the bodies of two runs of the same
+// summary's canonical encoding alone — no response envelope (job id, key)
+// and wall time zeroed — so the bodies of two runs of the same
 // sweep compare byte-identical across any deployment shape: one process,
 // one daemon, or a coordinator fanning out to a worker fleet (the
 // cluster-smoke CI job does exactly that).

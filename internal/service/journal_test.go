@@ -207,8 +207,7 @@ func TestMetricsCompatAfterResume(t *testing.T) {
 		"requests", "run_requests", "cache_hits", "cache_misses", "coalesced",
 		"cache_hit_rate", "cache_entries", "sweep_jobs", "jobs_queued",
 		"jobs_running", "specs_executed", "rounds_simulated", "stepped_rounds",
-		"summary_cache_hits", "summary_cache_misses", "uptime_seconds",
-		"rounds_per_second",
+		"uptime_seconds", "rounds_per_second",
 	}
 	for _, key := range legacy {
 		if _, ok := doc[key]; !ok {

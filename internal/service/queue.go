@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -57,6 +58,11 @@ type job struct {
 	// is the product.
 	summaryOnly bool
 
+	// ctx is canceled when the job is, and released when it ends: the local
+	// runner stops starting specs and the distributor's requests unwind.
+	ctx  context.Context
+	stop context.CancelFunc
+
 	mu        sync.Mutex
 	cond      *sync.Cond
 	state     JobState
@@ -65,33 +71,24 @@ type job struct {
 	ready     int         // results[:ready] are deliverable
 	completed int         // specs finished, in any order
 	errMsg    string
-	canceled  bool
-	summary   *agg.Summary // set once when the job completes successfully
+	summary   *agg.Summary // set with the terminal state of a done job
 
-	// dequeued guards onDequeue — the queue's queued-depth decrement — so it
-	// fires exactly once per job, whether the job leaves the queued state by
-	// starting, by being canceled while queued, or by failing on submission
-	// (backlog full). Canceled jobs still sit in the pending channel until a
-	// worker pops and discards them; without this, they would inflate the
-	// reported queue depth the whole time.
-	dequeued  bool
-	onDequeue func()
-
-	// Memoized summary cache key: a pure function of the immutable spec
-	// list, computed on first summary request rather than per request
-	// (hashing canonicalizes every spec — O(n) work worth doing once).
+	// Memoized summary key: a pure function of the immutable spec list,
+	// computed on first summary request rather than per request (hashing
+	// canonicalizes every spec — O(n) work worth doing once).
 	keyOnce   sync.Once
 	sumKey    string
 	sumKeyErr error
 }
 
-// summaryKey returns the job's derived summary cache key, computing it on
-// first use.
+// summaryKey returns the job's derived summary key, computing it on first
+// use.
 func (jb *job) summaryKey() (string, error) {
 	jb.keyOnce.Do(func() { jb.sumKey, jb.sumKeyErr = SweepSummaryKey(jb.specs) })
 	return jb.sumKey, jb.sumKeyErr
 }
 
+// newJob returns a queued job; an empty id asks queue.add for the next one.
 func newJob(id string, specs []spec.ScenarioSpec, summaryOnly bool) *job {
 	jb := &job{
 		id:          id,
@@ -99,6 +96,7 @@ func newJob(id string, specs []spec.ScenarioSpec, summaryOnly bool) *job {
 		summaryOnly: summaryOnly,
 		state:       JobQueued,
 	}
+	jb.ctx, jb.stop = context.WithCancel(context.Background())
 	if !summaryOnly {
 		jb.results = make([]JobResult, len(specs))
 		jb.filled = make([]bool, len(specs))
@@ -123,11 +121,14 @@ func (jb *job) setResult(i int, r JobResult) {
 	jb.cond.Broadcast()
 }
 
-// start moves the job to running unless it was canceled while queued.
+// start moves a queued job to running and reports whether it did; a job
+// canceled while queued stays put. start and cancel both decide under
+// jb.mu, so exactly one of them reports the job leaving the queued state,
+// and its caller takes the job out of the queued count.
 func (jb *job) start() bool {
 	jb.mu.Lock()
 	defer jb.mu.Unlock()
-	if jb.state != JobQueued || jb.canceled {
+	if jb.state != JobQueued || jb.ctx.Err() != nil {
 		return false
 	}
 	jb.state = JobRunning
@@ -135,62 +136,33 @@ func (jb *job) start() bool {
 	return true
 }
 
-// finish terminalizes the job.
-func (jb *job) finish(state JobState, errMsg string) {
-	jb.mu.Lock()
-	defer jb.mu.Unlock()
-	if jb.state == JobDone || jb.state == JobFailed {
-		return
-	}
-	jb.state = state
-	jb.errMsg = errMsg
-	jb.cond.Broadcast()
-}
-
-// cancel marks the job canceled and reports whether the mark caught it
+// cancel cancels the job's context and reports whether it caught the job
 // still queued, which start then refuses: the caller ends such a job
-// itself. A running job's executor observes the mark between specs
+// itself. A running job's executor sees the context between specs
 // (in-flight runs complete — the engine has no mid-run abort) and then
 // fails the job.
 func (jb *job) cancel() (queued bool) {
 	jb.mu.Lock()
 	defer jb.mu.Unlock()
-	queued = jb.state == JobQueued && !jb.canceled
-	jb.canceled = true
-	jb.cond.Broadcast() // wake cancellation watchers (distributed jobs)
+	queued = jb.state == JobQueued && jb.ctx.Err() == nil
+	jb.stop()
 	return queued
 }
 
-// markDequeued fires the job's onDequeue hook exactly once, when the job
-// leaves the queued state. The hook is called outside jb.mu: it takes the
-// queue's lock, and the two locks must not nest.
-func (jb *job) markDequeued() {
-	jb.mu.Lock()
-	f := jb.onDequeue
-	if jb.dequeued {
-		f = nil
-	}
-	jb.dequeued = true
-	jb.mu.Unlock()
-	if f != nil {
-		f()
-	}
-}
-
-func (jb *job) isCanceled() bool {
+// finish terminalizes the job with its summary, nil unless the job is
+// done. A done job has completed every spec.
+func (jb *job) finish(state JobState, errMsg string, sum *agg.Summary) {
 	jb.mu.Lock()
 	defer jb.mu.Unlock()
-	return jb.canceled
-}
-
-// waitCanceledOrTerminal blocks until the job is canceled or terminal —
-// the trigger for unwinding a distributed job's remote work.
-func (jb *job) waitCanceledOrTerminal() {
-	jb.mu.Lock()
-	defer jb.mu.Unlock()
-	for !jb.canceled && !jb.terminal() {
-		jb.cond.Wait()
+	if jb.terminal() {
+		return
 	}
+	jb.stop()
+	jb.state, jb.errMsg, jb.summary = state, errMsg, sum
+	if state == JobDone {
+		jb.completed = len(jb.specs)
+	}
+	jb.cond.Broadcast()
 }
 
 // setCompleted records n specs finished at once: a distributed job's specs
@@ -214,13 +186,6 @@ func (jb *job) isTerminal() bool {
 	return jb.terminal()
 }
 
-// setSummary records the job's completed fold; read with summarySnapshot.
-func (jb *job) setSummary(s *agg.Summary) {
-	jb.mu.Lock()
-	jb.summary = s
-	jb.mu.Unlock()
-}
-
 // summarySnapshot returns the job's summary, or nil if the job has not
 // completed successfully. The summary is written once and never mutated
 // afterwards, so sharing the pointer is safe.
@@ -230,20 +195,26 @@ func (jb *job) summarySnapshot() *agg.Summary {
 	return jb.summary
 }
 
-// waitTerminal blocks until the job reaches a terminal state or ctx is
-// done, reporting whether the job is terminal.
-func (jb *job) waitTerminal(ctx context.Context) bool {
+// wait blocks until done holds or ctx is done. Callers hold jb.mu, under
+// which done runs.
+func (jb *job) wait(ctx context.Context, done func() bool) {
 	stop := context.AfterFunc(ctx, func() {
 		jb.mu.Lock()
 		jb.cond.Broadcast()
 		jb.mu.Unlock()
 	})
 	defer stop()
-	jb.mu.Lock()
-	defer jb.mu.Unlock()
-	for !jb.terminal() && ctx.Err() == nil {
+	for !done() && ctx.Err() == nil {
 		jb.cond.Wait()
 	}
+}
+
+// waitTerminal blocks until the job reaches a terminal state or ctx is
+// done, reporting whether the job is terminal.
+func (jb *job) waitTerminal(ctx context.Context) bool {
+	jb.mu.Lock()
+	defer jb.mu.Unlock()
+	jb.wait(ctx, jb.terminal)
 	return jb.terminal()
 }
 
@@ -258,50 +229,37 @@ func (jb *job) status() JobStatus {
 // a terminal state without producing it, or ctx is done. ok reports whether
 // a result was delivered.
 func (jb *job) waitResult(ctx context.Context, i int) (r JobResult, ok bool) {
-	stop := context.AfterFunc(ctx, func() {
-		jb.mu.Lock()
-		jb.cond.Broadcast()
-		jb.mu.Unlock()
-	})
-	defer stop()
 	jb.mu.Lock()
 	defer jb.mu.Unlock()
 	if jb.results == nil { // summary-only: no rows exist to wait for
 		return JobResult{}, false
 	}
-	for jb.ready <= i && !jb.terminal() && ctx.Err() == nil {
-		jb.cond.Wait()
-	}
+	jb.wait(ctx, func() bool { return jb.ready > i || jb.terminal() })
 	if ctx.Err() != nil || jb.ready <= i {
 		return JobResult{}, false
 	}
 	return jb.results[i], true
 }
 
-// queue runs submitted jobs on a bounded pool of job workers. The exec
+// errClosed refuses jobs enqueued after the service closed.
+var errClosed = errors.New("service: closed")
+
+// queue runs registered jobs on a bounded pool of job workers. The exec
 // callback (service.go) runs one job's specs and must terminalize the job.
 // The store is bounded: beyond retain jobs, the oldest terminal ones are
-// evicted on submission (order tracks submission order for that sweep).
+// evicted whenever a job is added (order tracks registration order for
+// that sweep).
 type queue struct {
 	mu      sync.Mutex
 	jobs    map[string]*job
 	order   []string
 	retain  int
 	nextID  int
-	queued  int // jobs submitted and still queued: not started, not canceled
+	queued  int // registered jobs not yet started, canceled or refused
 	running int
+	closed  bool // set with close(pending); enqueue refuses from then on
 	pending chan *job
 	wg      sync.WaitGroup
-
-	// accepted/rejected are the journaling hooks (service wiring, set
-	// before the queue takes traffic). accepted runs after a submitted job
-	// is registered but strictly before it becomes runnable — a job must
-	// never start executing before its acceptance is durable, or a crash
-	// in that window leaves an untraceable job. rejected runs when a
-	// backlog-full rollback deregisters an accepted job again, so the
-	// journal's view terminalizes too. Nil hooks no-op.
-	accepted func(*job)
-	rejected func(*job)
 }
 
 // newQueue starts workers goroutines draining the pending channel.
@@ -321,12 +279,11 @@ func newQueue(workers, backlog, retain int, exec func(*job)) *queue {
 		go func() {
 			defer q.wg.Done()
 			for jb := range q.pending {
-				// No-op for jobs already dequeued by a cancel-while-queued.
-				jb.markDequeued()
 				if !jb.start() {
-					continue // canceled while queued
+					continue // canceled while queued; cancel left the count
 				}
 				q.mu.Lock()
+				q.queued--
 				q.running++
 				q.mu.Unlock()
 				exec(jb)
@@ -339,133 +296,95 @@ func newQueue(workers, backlog, retain int, exec func(*job)) *queue {
 	return q
 }
 
-// submit registers a new job for the specs and enqueues it; it fails when
-// the backlog is full rather than blocking the caller. A job rejected that
-// way is deregistered again before the error returns: its ID was never
-// handed to anyone, so leaving it in the store would occupy a retention
-// slot no request can ever reach.
-func (q *queue) submit(specs []spec.ScenarioSpec, summaryOnly bool) (*job, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("service: job has no specs")
+// add registers a job — fresh, resumed or restored — and evicts the oldest
+// terminal jobs beyond the retention bound. A fresh job (empty id) gets
+// the next id. A resumed or restored job keeps its own, which must be
+// free, and the id counter advances past it so fresh jobs never reuse it.
+// A job not yet terminal counts as queued until start or cancel takes it
+// out.
+func (q *queue) add(jb *job) error {
+	if len(jb.specs) == 0 {
+		return fmt.Errorf("service: job has no specs")
 	}
 	q.mu.Lock()
-	q.nextID++
-	jb := newJob(fmt.Sprintf("j%06d", q.nextID), specs, summaryOnly)
-	jb.onDequeue = q.decQueued // set before publication in q.jobs
-	q.queued++
+	defer q.mu.Unlock()
+	if jb.id == "" {
+		q.nextID++
+		jb.id = fmt.Sprintf("j%06d", q.nextID)
+	} else if _, exists := q.jobs[jb.id]; exists {
+		return fmt.Errorf("service: job %s already exists", jb.id)
+	} else {
+		var n int
+		if _, err := fmt.Sscanf(jb.id, "j%d", &n); err == nil {
+			q.nextID = max(q.nextID, n)
+		}
+	}
+	if !jb.isTerminal() {
+		q.queued++
+	}
 	q.jobs[jb.id] = jb
 	q.order = append(q.order, jb.id)
-	accepted := q.accepted
-	// Evict the oldest terminal jobs beyond the retention bound; live jobs
-	// are never evicted, so the store can transiently exceed the bound
-	// under a backlog of unfinished jobs.
+	// Live jobs are never evicted, so the store can transiently exceed the
+	// bound under a backlog of unfinished jobs.
 	for len(q.jobs) > q.retain {
-		evicted := false
-		for i, id := range q.order {
-			if old := q.jobs[id]; old.isTerminal() {
-				delete(q.jobs, id)
-				q.order = append(q.order[:i], q.order[i+1:]...)
-				evicted = true
-				break
-			}
+		i := 0
+		for i < len(q.order) && !q.jobs[q.order[i]].isTerminal() {
+			i++
 		}
-		if !evicted {
+		if i == len(q.order) {
+			break
+		}
+		q.removeLocked(i)
+	}
+	return nil
+}
+
+// removeLocked deregisters the job at order[i]. Callers hold q.mu.
+func (q *queue) removeLocked(i int) {
+	delete(q.jobs, q.order[i])
+	q.order = append(q.order[:i], q.order[i+1:]...)
+}
+
+// enqueue hands a registered job to the workers. On a full backlog, or
+// once the queue is closed, it rolls the job back instead: the job leaves
+// the queued count, fails, and is deregistered — its id was never handed
+// to anyone, so it would only occupy a retention slot no request reaches.
+func (q *queue) enqueue(jb *job) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	err, reason := errClosed, errClosed.Error()
+	if !q.closed {
+		select {
+		case q.pending <- jb:
+			return nil
+		default:
+			err = fmt.Errorf("service: queue backlog full (%d jobs pending)", cap(q.pending))
+			reason = "queue backlog full"
+		}
+	}
+	if jb.cancel() {
+		q.queued--
+	}
+	jb.finish(JobFailed, reason, nil)
+	for i := len(q.order) - 1; i >= 0; i-- {
+		if q.order[i] == jb.id {
+			q.removeLocked(i)
 			break
 		}
 	}
-	q.mu.Unlock()
-	// Journal the acceptance before the job can start: once it is in the
-	// pending channel a worker may execute (and crash) immediately, and a
-	// job that ran before its acceptance was durable could never resume.
-	if accepted != nil {
-		accepted(jb)
-	}
-	select {
-	case q.pending <- jb:
-		return jb, nil
-	default:
-		jb.markDequeued()
-		jb.finish(JobFailed, "queue backlog full")
-		q.mu.Lock()
-		delete(q.jobs, jb.id)
-		for i := len(q.order) - 1; i >= 0; i-- {
-			if q.order[i] == jb.id {
-				q.order = append(q.order[:i], q.order[i+1:]...)
-				break
-			}
-		}
-		q.mu.Unlock()
-		// The journal saw an acceptance for a job the caller was refused:
-		// terminalize it there too, or a restart would resurrect a ghost.
-		if q.rejected != nil {
-			q.rejected(jb)
-		}
-		return nil, fmt.Errorf("service: queue backlog full (%d jobs pending)", cap(q.pending))
-	}
+	return err
 }
 
-// resubmit re-admits a journaled non-terminal job under its original id
-// after a restart — the counterpart of submit for jobs the journal proves
-// were accepted but never finished. The id must be free (the caller
-// replays the journal before taking traffic, so a collision means a
-// corrupt log) and the queue's id counter advances past it so fresh
-// submissions never collide with resurrected ids.
-func (q *queue) resubmit(id string, specs []spec.ScenarioSpec, summaryOnly bool) (*job, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("service: job has no specs")
+// cancel cancels jb and reports whether it caught the job queued; such a
+// job leaves the queued count here, and the caller ends it.
+func (q *queue) cancel(jb *job) bool {
+	if !jb.cancel() {
+		return false
 	}
 	q.mu.Lock()
-	if _, exists := q.jobs[id]; exists {
-		q.mu.Unlock()
-		return nil, fmt.Errorf("service: job %s already exists", id)
-	}
-	q.noteIDLocked(id)
-	jb := newJob(id, specs, summaryOnly)
-	jb.onDequeue = q.decQueued
-	q.queued++
-	q.jobs[jb.id] = jb
-	q.order = append(q.order, jb.id)
+	q.queued--
 	q.mu.Unlock()
-	select {
-	case q.pending <- jb:
-		return jb, nil
-	default:
-		jb.markDequeued()
-		jb.finish(JobFailed, "queue backlog full")
-		q.mu.Lock()
-		delete(q.jobs, jb.id)
-		for i := len(q.order) - 1; i >= 0; i-- {
-			if q.order[i] == jb.id {
-				q.order = append(q.order[:i], q.order[i+1:]...)
-				break
-			}
-		}
-		q.mu.Unlock()
-		return nil, fmt.Errorf("service: queue backlog full (%d jobs pending)", cap(q.pending))
-	}
-}
-
-// install registers an already-terminal job in the store without queueing
-// it — how restored done/failed jobs re-enter the job index. Duplicate ids
-// are dropped: the live store wins over the journal.
-func (q *queue) install(jb *job) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if _, exists := q.jobs[jb.id]; exists {
-		return
-	}
-	q.noteIDLocked(jb.id)
-	q.jobs[jb.id] = jb
-	q.order = append(q.order, jb.id)
-}
-
-// noteIDLocked advances the id counter past a resurrected "j%06d" id so
-// fresh submissions never reuse it. Callers hold q.mu.
-func (q *queue) noteIDLocked(id string) {
-	var n int
-	if _, err := fmt.Sscanf(id, "j%d", &n); err == nil && n > q.nextID {
-		q.nextID = n
-	}
+	return true
 }
 
 // get looks a job up by id.
@@ -476,28 +395,25 @@ func (q *queue) get(id string) (*job, bool) {
 	return jb, ok
 }
 
-// decQueued is every job's onDequeue hook: one decrement when the job
-// leaves the queued state (started, canceled while queued, or rejected on
-// a full backlog).
-func (q *queue) decQueued() {
-	q.mu.Lock()
-	q.queued--
-	q.mu.Unlock()
-}
-
-// depth reports the number of queued (submitted, not yet started or
-// canceled) and currently running jobs. The queued count is tracked
-// explicitly rather than read from len(q.pending): jobs canceled while
-// queued sit in the pending channel until a worker pops and discards them,
-// and counting those would over-report the depth.
+// depth reports the number of queued (registered, not yet started,
+// canceled or refused) and currently running jobs. The queued count is
+// tracked explicitly rather than read from len(q.pending): jobs canceled
+// while queued sit in the pending channel until a worker pops and discards
+// them, and counting those would over-report the depth.
 func (q *queue) depth() (queued, running int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.queued, q.running
 }
 
-// close stops accepting work and waits for the workers to drain.
+// close refuses further jobs and waits for the workers to drain the ones
+// already queued.
 func (q *queue) close() {
-	close(q.pending)
+	q.mu.Lock()
+	if !q.closed {
+		q.closed = true
+		close(q.pending)
+	}
+	q.mu.Unlock()
 	q.wg.Wait()
 }

@@ -116,8 +116,6 @@ type Service struct {
 	specsExecuted *obs.Counter // actual engine runs (misses only)
 	roundsSim     *obs.Counter // logical rounds of those runs
 	roundsStepped *obs.Counter // engine-stepped rounds of those runs
-	summaryHits   *obs.Counter // summaries served straight from the cache
-	summaryMisses *obs.Counter // summaries stored on first serve
 
 	jobWallMS *obs.Histogram // per-job wall time, ms
 	specRunUS *obs.Histogram // per-spec serve time (cache hits included), µs
@@ -153,8 +151,6 @@ func (s *Service) initObs() {
 	s.specsExecuted = s.reg.Counter("specs_executed")
 	s.roundsSim = s.reg.Counter("rounds_simulated")
 	s.roundsStepped = s.reg.Counter("stepped_rounds")
-	s.summaryHits = s.reg.Counter("summary_cache_hits")
-	s.summaryMisses = s.reg.Counter("summary_cache_misses")
 	s.jobWallMS = s.reg.Histogram("job_wall_ms")
 	s.specRunUS = s.reg.Histogram("spec_run_us")
 	s.jobsResumed = s.reg.Counter("jobs_resumed")
@@ -205,18 +201,19 @@ func (s *Service) Registry() *obs.Registry { return s.reg }
 // events on.
 func (s *Service) Tracer() *obs.Tracer { return s.tracer }
 
-// Close drains the job workers. Jobs still queued run to completion first.
+// Close drains the job workers. Jobs still queued run to completion first;
+// jobs submitted from then on are refused with "service: closed".
 func (s *Service) Close() { s.queue.close() }
 
 // SetDistributor routes summary-only sweep jobs through fn — typically a
 // cluster.Coordinator fanning shards out to worker backends — instead of
 // the local spec runner. Everything else (single runs, raw-row sweeps, the
-// whole job lifecycle: status, summary long-polling, cancellation, the
-// summary cache) keeps working locally and unchanged; fn's context is
-// canceled when the job is. fn must be a deterministic function of the
-// specs, or the summary cache and the merge-determinism guarantee break.
-// Call it before the service starts taking traffic; it is not synchronized
-// against running jobs.
+// whole job lifecycle: status, summary long-polling, cancellation) keeps
+// working locally and unchanged; fn's context is the job's, canceled when
+// the job is. fn must be a deterministic function of the specs, or the
+// merge-determinism guarantee and byte-exact resume break. Call it before
+// the service starts taking traffic; it is not synchronized against
+// running jobs.
 func (s *Service) SetDistributor(fn func(ctx context.Context, specs []spec.ScenarioSpec) (*agg.Summary, error)) {
 	s.distribute = fn
 }
@@ -244,28 +241,14 @@ func (s *Service) SetFleet(fn func(ctx context.Context) any) {
 // alongside the other wiring hooks; it is not synchronized against running
 // jobs. A nil journal (or never calling this) disables persistence.
 //
-// Acceptance is journaled from inside the queue, after the job is
-// registered but before it becomes runnable — a job must never start
-// executing (or crash) ahead of its acceptance record, and the append is
-// cheap enough to sit on the submission path. A submission rolled back by
-// a full backlog terminalizes in the journal too, so a restart does not
-// resurrect a job whose caller was refused.
+// A submission journals its acceptance after the job is registered but
+// before it becomes runnable — a job must never start executing (or
+// crash) ahead of its acceptance record, and the append is cheap enough to
+// sit on the submission path. A submission the queue then refuses
+// terminalizes in the journal too, so a restart does not resurrect a job
+// whose caller was refused.
 func (s *Service) SetJournal(j *journal.Journal) {
 	s.jnl = j
-	if j == nil {
-		s.queue.accepted, s.queue.rejected = nil, nil
-		return
-	}
-	s.queue.accepted = func(jb *job) {
-		if raw, err := json.Marshal(jb.specs); err == nil {
-			//lint:allow errsink the journal records write errors internally and Close surfaces them; an unjournaled acceptance only re-queues the job on resume
-			_ = j.JobAccepted(jb.id, raw, jb.summaryOnly)
-		}
-	}
-	s.queue.rejected = func(jb *job) {
-		st := jb.status()
-		s.journalTerminal(jb, st.State, st.Error)
-	}
 }
 
 // ResumeJournal rebuilds job state from the attached journal, called once
@@ -314,7 +297,12 @@ func (s *Service) ResumeJournal() (int, error) {
 			}
 			continue
 		}
-		if _, err := s.queue.resubmit(id, specs, js.SummaryOnly); err != nil {
+		jb := newJob(id, specs, js.SummaryOnly)
+		err = s.queue.add(jb)
+		if err == nil {
+			err = s.queue.enqueue(jb)
+		}
+		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -349,7 +337,8 @@ func decodeJournaledSpecs(raw json.RawMessage) ([]spec.ScenarioSpec, error) {
 // restoreTerminal rebuilds one finished job from its journal state. Raw
 // rows are not journaled, so the restored job retains none (its results
 // endpoint refuses, like a summary-only job's); a done job without a
-// readable summary cannot be served and is dropped entirely.
+// readable summary cannot be served and is dropped entirely, as is a job
+// whose id is already taken: the live store wins over the journal.
 func (s *Service) restoreTerminal(id string, specs []spec.ScenarioSpec, js *journal.JobState) {
 	state := JobState(js.State)
 	if state != JobDone && state != JobFailed {
@@ -363,39 +352,43 @@ func (s *Service) restoreTerminal(id string, specs []spec.ScenarioSpec, js *jour
 		}
 	}
 	jb := newJob(id, specs, true)
-	jb.state = state
-	jb.errMsg = js.Error
-	jb.dequeued = true // never queued in this process; nothing to decrement
-	if state == JobDone {
-		jb.completed = len(specs)
-		jb.summary = sum
+	jb.finish(state, js.Error, sum)
+	_ = s.queue.add(jb) // fails only on a taken id
+}
+
+// journalAccepted records a registered job's acceptance, with its whole
+// spec list so a restart can re-run it.
+func (s *Service) journalAccepted(jb *job) {
+	if s.jnl == nil {
+		return
 	}
-	s.queue.install(jb)
+	if raw, err := json.Marshal(jb.specs); err == nil {
+		//lint:allow errsink the journal records write errors internally and Close surfaces them; an unjournaled acceptance only re-queues the job on resume
+		_ = s.jnl.JobAccepted(jb.id, raw, jb.summaryOnly)
+	}
 }
 
 // journalTerminal records a job's terminal transition, carrying the full
 // summary document for done jobs so the summary store survives restarts.
-func (s *Service) journalTerminal(jb *job, state JobState, errMsg string) {
+func (s *Service) journalTerminal(jb *job, state JobState, errMsg string, sum *agg.Summary) {
 	if s.jnl == nil {
 		return
 	}
 	var sumRaw json.RawMessage
-	if state == JobDone {
-		if sum := jb.summarySnapshot(); sum != nil {
-			sumRaw, _ = sum.MarshalJSON()
-		}
+	if sum != nil {
+		sumRaw, _ = sum.MarshalJSON()
 	}
 	//lint:allow errsink the journal records write errors internally and Close surfaces them; a lost terminal record re-runs the job on resume, never corrupts it
 	_ = s.jnl.JobTerminal(jb.id, string(state), errMsg, sumRaw)
 }
 
-// finishJob journals a running job's terminal record, then makes the job
-// terminal. In that order no client can see a finished job, or read its
-// summary, whose record a crash could still lose and re-run on restart —
-// the same order acceptance follows (DESIGN.md §14).
-func (s *Service) finishJob(jb *job, state JobState, errMsg string) {
-	s.journalTerminal(jb, state, errMsg)
-	jb.finish(state, errMsg)
+// finishJob journals a job's terminal record, then makes the job terminal
+// with its summary. In that order no client can see a finished job, or
+// read its summary, whose record a crash could still lose and re-run on
+// restart — the same order acceptance follows (DESIGN.md §14).
+func (s *Service) finishJob(jb *job, state JobState, errMsg string, sum *agg.Summary) {
+	s.journalTerminal(jb, state, errMsg, sum)
+	jb.finish(state, errMsg, sum)
 }
 
 // SetExecutor replaces the per-spec execution function the cache sits in
@@ -429,28 +422,28 @@ func (s *Service) RunSpec(sp spec.ScenarioSpec) (key string, res *sim.RunResult,
 	if err != nil {
 		return "", nil, false, err
 	}
-	if v, ok := s.cache.get(key); ok {
+	if e, ok := s.cache.get(key); ok {
 		s.cacheHits.Add(1)
-		res, err = unpackOutcome(v)
-		return key, res, true, err
+		return key, e.res, true, e.err
 	}
 	res, err, shared := s.fl.do(key, func() (*sim.RunResult, error) {
 		// Re-check under the flight: a leader for this key may have
 		// finished (storing the outcome and retiring its call) between our
 		// cache miss and entering the flight group; without this, that
 		// window would re-execute the run.
-		if v, ok := s.cache.get(key); ok {
-			return unpackOutcome(v)
+		if e, ok := s.cache.get(key); ok {
+			return e.res, e.err
 		}
 		r, err := s.execute(sp)
 		if err != nil {
-			s.cache.add(key, cachedFailure{msg: err.Error()})
+			// The memo keeps the message only, not what err references.
+			s.cache.add(key, nil, errors.New(err.Error()))
 			return nil, err
 		}
 		s.specsExecuted.Add(1)
 		s.roundsSim.Add(int64(r.Rounds))
 		s.roundsStepped.Add(int64(r.SteppedRounds))
-		s.cache.add(key, r)
+		s.cache.add(key, r, nil)
 		return r, nil
 	})
 	if shared {
@@ -462,18 +455,6 @@ func (s *Service) RunSpec(sp spec.ScenarioSpec) (key string, res *sim.RunResult,
 		return key, nil, shared, err
 	}
 	return key, res, shared, nil
-}
-
-// unpackOutcome splits a cached value into result-or-error form.
-func unpackOutcome(v any) (*sim.RunResult, error) {
-	switch x := v.(type) {
-	case *sim.RunResult:
-		return x, nil
-	case cachedFailure:
-		return nil, errors.New(x.msg)
-	default: // unreachable: the cache only stores the two outcome types
-		return nil, fmt.Errorf("service: unexpected cache entry %T", v)
-	}
 }
 
 // maxTeamSize bounds one team of a submitted sweep: team construction
@@ -577,8 +558,19 @@ func (s *Service) submitSpecs(specs []spec.ScenarioSpec, summaryOnly bool) (JobS
 	if len(specs) > s.cfg.MaxSweepSpecs {
 		return JobStatus{}, fmt.Errorf("service: sweep expands to %d specs, above the limit of %d", len(specs), s.cfg.MaxSweepSpecs)
 	}
-	jb, err := s.queue.submit(specs, summaryOnly)
-	if err != nil {
+	jb := newJob("", specs, summaryOnly)
+	if err := s.queue.add(jb); err != nil {
+		return JobStatus{}, err
+	}
+	// Journal the acceptance before the job can start: once it is enqueued
+	// a worker may execute (and crash) immediately, and a job that ran
+	// before its acceptance was durable could never resume.
+	s.journalAccepted(jb)
+	if err := s.queue.enqueue(jb); err != nil {
+		// The journal saw an acceptance for a job the caller was refused:
+		// terminalize it there too, or a restart would resurrect a ghost.
+		st := jb.status()
+		s.journalTerminal(jb, st.State, st.Error, nil)
 		return JobStatus{}, err
 	}
 	s.sweepJobs.Add(1)
@@ -602,14 +594,13 @@ func (s *Service) CancelJob(id string) (JobStatus, bool) {
 	if !ok {
 		return JobStatus{}, false
 	}
-	if jb.cancel() {
+	if s.queue.cancel(jb) {
 		// A cancel-while-queued never reaches runJob, so the job is ended
 		// here, before the DELETE is answered: finishJob journals its
 		// terminal record before the job turns terminal, as for a running
 		// job.
-		jb.markDequeued()
 		s.tracer.Record(jb.id, obs.NoChunk, obs.NoWorker, obs.PhaseFailed, "canceled")
-		s.finishJob(jb, JobFailed, "canceled")
+		s.finishJob(jb, JobFailed, "canceled", nil)
 	}
 	return jb.status(), true
 }
@@ -645,7 +636,7 @@ func (s *Service) runJob(jb *job) {
 // job's summary when the job completes — so every finished job has a
 // streaming aggregate, and a summary-only job stores nothing else.
 func (s *Service) runJobLocal(jb *job) {
-	sum := sim.Fold(s.cfg.Parallelism, len(jb.specs), func() bool { return !jb.isCanceled() }, agg.NewSummary,
+	sum := sim.Fold(s.cfg.Parallelism, len(jb.specs), func() bool { return jb.ctx.Err() == nil }, agg.NewSummary,
 		func(fold *agg.Summary, i int) {
 			sp := jb.specs[i]
 			start := time.Now()
@@ -661,46 +652,33 @@ func (s *Service) runJobLocal(jb *job) {
 			// above is the only retained outcome.
 			jb.setResult(i, r)
 		}, (*agg.Summary).Merge)
-	if jb.isCanceled() {
-		s.finishJob(jb, JobFailed, "canceled")
+	if jb.ctx.Err() != nil {
+		s.finishJob(jb, JobFailed, "canceled", nil)
 		return
 	}
-	jb.setSummary(sum)
-	s.finishJob(jb, JobDone, "")
+	s.finishJob(jb, JobDone, "", sum)
 }
 
 // runJobDistributed executes a summary-only job through the distributor:
 // the fleet computes the summary, the local job object keeps carrying the
-// lifecycle — status polling, summary long-polling, cancellation (which
-// cancels the distributor's context) and the summary cache all behave as
-// for a locally run job.
+// lifecycle — status polling, summary long-polling and cancellation, which
+// cancels the job's context and with it the distributor's — as for a
+// locally run job.
 func (s *Service) runJobDistributed(jb *job) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	// The coordinator tags its chunk trace events with this job's id and
 	// reports cumulative spec completions back through the progress sink, so
 	// a polling client sees a distributed job advance chunk by chunk instead
 	// of jumping from 0 to done.
-	ctx = obs.WithJob(ctx, jb.id)
-	ctx = obs.WithProgress(ctx, jb.setCompleted)
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		jb.waitCanceledOrTerminal()
-		cancel()
-	}()
+	ctx := obs.WithProgress(obs.WithJob(jb.ctx, jb.id), jb.setCompleted)
 	sum, err := s.distribute(ctx, jb.specs)
 	switch {
-	case jb.isCanceled():
-		s.finishJob(jb, JobFailed, "canceled")
+	case jb.ctx.Err() != nil:
+		s.finishJob(jb, JobFailed, "canceled", nil)
 	case err != nil:
-		s.finishJob(jb, JobFailed, err.Error())
+		s.finishJob(jb, JobFailed, err.Error(), nil)
 	default:
-		jb.setCompleted(len(jb.specs))
-		jb.setSummary(sum)
-		s.finishJob(jb, JobDone, "")
+		s.finishJob(jb, JobDone, "", sum)
 	}
-	<-watcherDone // finish broadcast released it; don't leak past Close
 }
 
 // Metrics is the wire form of GET /metrics.
@@ -718,8 +696,6 @@ type Metrics struct {
 	SpecsExecuted   int64   `json:"specs_executed"`
 	RoundsSimulated int64   `json:"rounds_simulated"`
 	SteppedRounds   int64   `json:"stepped_rounds"`
-	SummaryHits     int64   `json:"summary_cache_hits"`
-	SummaryMisses   int64   `json:"summary_cache_misses"`
 	UptimeSeconds   float64 `json:"uptime_seconds"`
 	RoundsPerSecond float64 `json:"rounds_per_second"`
 	// Scheduler carries the coordinator's chunk-dispatch counters when this
@@ -747,8 +723,6 @@ func (s *Service) Snapshot() Metrics {
 		SpecsExecuted:   s.specsExecuted.Value(),
 		RoundsSimulated: s.roundsSim.Value(),
 		SteppedRounds:   s.roundsStepped.Value(),
-		SummaryHits:     s.summaryHits.Value(),
-		SummaryMisses:   s.summaryMisses.Value(),
 		UptimeSeconds:   time.Since(s.start).Seconds(),
 		CacheHitRate:    s.cacheHitRate(),
 	}

@@ -11,19 +11,19 @@ import (
 	"nochatter/internal/spec"
 )
 
-// summaryDomain separates summary keys from single-run result keys in the
-// shared cache: a summary key is the hash of a domain tag plus every spec's
-// canonical encoding, so it can never collide with a SpecKey (which hashes
-// a single canonical spec with no tag) and bumping the version retires old
-// summaries when the summary format changes.
+// summaryDomain separates summary keys from single-run result keys: a
+// summary key is the hash of a domain tag plus every spec's canonical
+// encoding, so it can never collide with a SpecKey (which hashes a single
+// canonical spec with no tag), and bumping the version retires old keys
+// when the summary format changes.
 const summaryDomain = "nochatter-sweep-summary-v1"
 
 // SweepSummaryKey returns the content address of a sweep's summary: the hex
 // SHA-256 of the summary domain tag followed by the canonical encoding of
 // every spec in order. Two sweeps with the same specs in the same order
-// share a summary key — and because a summary is a deterministic function
-// of its specs (DESIGN.md §9), they share the summary itself, which is what
-// lets the service serve repeat sweeps from cache without refolding.
+// share a summary key, and because a summary is a deterministic function
+// of its specs (DESIGN.md §9), their summaries share every canonical byte.
+// The journal keys each fleet chunk's summary by it too.
 func SweepSummaryKey(specs []spec.ScenarioSpec) (string, error) {
 	h := sha256.New()
 	h.Write([]byte(summaryDomain))
@@ -40,13 +40,11 @@ func SweepSummaryKey(specs []spec.ScenarioSpec) (string, error) {
 }
 
 // SummaryResponse is the wire form of GET /v1/jobs/{id}/summary: the
-// sweep's derived summary key, whether this serve was a summary-cache hit,
-// and the streaming aggregate itself.
+// sweep's derived summary key and the job's own streaming aggregate.
 type SummaryResponse struct {
 	JobID   string       `json:"job_id"`
 	Key     string       `json:"key"`
 	Specs   int          `json:"specs"`
-	Cached  bool         `json:"cached"`
 	State   JobState     `json:"state"`
 	Summary *agg.Summary `json:"summary"`
 }
@@ -62,8 +60,6 @@ func (r *SummaryResponse) appendJSON(dst []byte) []byte {
 	dst = appendString(dst, r.Key)
 	dst = append(dst, `,"specs":`...)
 	dst = strconv.AppendInt(dst, int64(r.Specs), 10)
-	dst = append(dst, `,"cached":`...)
-	dst = strconv.AppendBool(dst, r.Cached)
 	dst = append(dst, `,"state":`...)
 	dst = appendString(dst, string(r.State))
 	dst = append(dst, `,"summary":`...)
@@ -97,36 +93,16 @@ func (s *Service) JobSummary(id string) (resp SummaryResponse, found bool, err e
 	return resp, true, err
 }
 
-// summaryOf serves a terminal job's summary through the cache: the first
-// serve stores the job's fold under the sweep's derived key, repeats (and
-// identical sweeps submitted as different jobs) are cache hits. Only jobs
-// that completed have a summary — a failed or canceled job refuses even
-// when an identical sweep's summary sits in the cache, so the status code
-// always reflects THIS job's outcome.
+// summaryOf serves a terminal job's own summary under the sweep's key.
+// Only a job that completed has one: a failed or canceled job refuses.
 func (s *Service) summaryOf(jb *job) (SummaryResponse, error) {
-	state := jb.status().State
-	if state != JobDone {
-		return SummaryResponse{}, fmt.Errorf("service: job %s did not complete (%s); no summary", jb.id, state)
+	st := jb.status()
+	if st.State != JobDone {
+		return SummaryResponse{}, fmt.Errorf("service: job %s did not complete (%s); no summary", jb.id, st.State)
 	}
 	key, err := jb.summaryKey()
 	if err != nil {
 		return SummaryResponse{}, err
 	}
-	resp := SummaryResponse{JobID: jb.id, Key: key, Specs: len(jb.specs), State: state}
-	if v, ok := s.cache.get(key); ok {
-		if sum, ok := v.(*agg.Summary); ok {
-			s.summaryHits.Add(1)
-			resp.Cached = true
-			resp.Summary = sum
-			return resp, nil
-		}
-	}
-	sum := jb.summarySnapshot()
-	if sum == nil { // unreachable: every done job set its summary first
-		return SummaryResponse{}, fmt.Errorf("service: job %s has no summary", jb.id)
-	}
-	s.summaryMisses.Add(1)
-	s.cache.add(key, sum)
-	resp.Summary = sum
-	return resp, nil
+	return SummaryResponse{JobID: jb.id, Key: key, Specs: st.Specs, State: st.State, Summary: jb.summarySnapshot()}, nil
 }

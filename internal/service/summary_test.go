@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -70,56 +71,84 @@ func getSummary(t *testing.T, base, jobID string) (SummaryResponse, int) {
 	return sr, resp.StatusCode
 }
 
-// TestJobSummaryEndpoint proves the summary flow end to end: the first GET
-// stores the fold under the sweep's derived key, the repeat GET is a
-// summary-cache hit with an identical summary, and a second identical sweep
-// submitted as a different job hits the same cache entry on its first GET.
+// TestJobSummaryEndpoint proves the summary flow end to end: repeat GETs
+// of one job serve identical bytes, two identical sweeps share the summary
+// key and the canonical bytes, each job serves its own fold rather than
+// another job's, and no envelope carries a cache flag.
 func TestJobSummaryEndpoint(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
+	get := func(jobID string) ([]byte, SummaryResponse) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/v1/jobs/" + jobID + "/summary")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("summary of %s: HTTP %d: %.200s", jobID, resp.StatusCode, body)
+		}
+		var members map[string]json.RawMessage
+		if err := json.Unmarshal(body, &members); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := members["cached"]; ok {
+			t.Errorf("summary of %s carries a cached member: %.120s", jobID, body)
+		}
+		var sr SummaryResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		return body, sr
+	}
+
 	acc := postSweep(t, srv.URL, "")
-	first, code := getSummary(t, srv.URL, acc.JobID)
-	if code != http.StatusOK {
-		t.Fatalf("first summary: HTTP %d", code)
-	}
-	if first.Cached {
-		t.Fatal("first summary serve must store, not hit")
-	}
+	body, first := get(acc.JobID)
 	if first.Summary == nil || first.Summary.Total.Runs != 4 {
 		t.Fatalf("summary should cover 4 runs: %+v", first.Summary)
 	}
 	if got := len(first.Summary.Groups()); got != 4 {
 		t.Fatalf("expected 4 groups, got %d", got)
 	}
-
-	second, _ := getSummary(t, srv.URL, acc.JobID)
-	if !second.Cached {
-		t.Fatal("repeat summary serve must hit the cache")
-	}
-	b1, _ := json.Marshal(first.Summary)
-	b2, _ := json.Marshal(second.Summary)
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("cached summary differs from first serve")
+	if again, _ := get(acc.JobID); !bytes.Equal(again, body) {
+		t.Errorf("repeat summary GET differs:\n%.120s\n%.120s", body, again)
 	}
 
-	// An identical sweep in a new job shares the derived key: its first
-	// summary request is already a cache hit.
+	// An identical sweep in a new job shares the derived key and the
+	// canonical bytes, and serves its own fold.
 	acc2 := postSweep(t, srv.URL, "")
 	if acc2.JobID == acc.JobID {
 		t.Fatal("expected a fresh job id")
 	}
-	third, _ := getSummary(t, srv.URL, acc2.JobID)
-	if !third.Cached || third.Key != first.Key {
-		t.Fatalf("identical sweep should hit the summary cache (cached=%v key match=%v)",
-			third.Cached, third.Key == first.Key)
+	_, second := get(acc2.JobID)
+	if second.Key != first.Key {
+		t.Fatalf("identical sweeps have different keys %s and %s", first.Key, second.Key)
 	}
-
-	m := svc.Snapshot()
-	if m.SummaryMisses != 1 || m.SummaryHits != 2 {
-		t.Fatalf("summary metrics: misses=%d hits=%d, want 1/2", m.SummaryMisses, m.SummaryHits)
+	c1, err := first.Summary.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := second.Summary.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(c1, c2) {
+		t.Errorf("identical sweeps differ canonically:\n%.200s\n%.200s", c1, c2)
+	}
+	resp, _, err := svc.JobSummary(acc2.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb2, _ := svc.queue.get(acc2.JobID)
+	if resp.Summary == nil || resp.Summary != jb2.summarySnapshot() {
+		t.Fatal("the second job serves a summary other than its own fold")
 	}
 }
 
@@ -232,30 +261,28 @@ func TestSummaryOfUnfinishedJob(t *testing.T) {
 	}
 }
 
-// TestFailedJobSummaryRefusesDespiteCache pins the status contract: a
-// failed (canceled) job answers "no summary" even when an identical
-// sweep's summary already sits in the cache — the response code reflects
-// THIS job's outcome, not the cache's contents.
-func TestFailedJobSummaryRefusesDespiteCache(t *testing.T) {
+// TestFailedJobSummaryRefuses pins the status contract: a failed
+// (canceled) job answers "no summary" even after an identical sweep
+// completed — the response reflects THIS job's outcome.
+func TestFailedJobSummaryRefuses(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
 	specs, err := summarySweepDef().Specs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := SweepSummaryKey(specs)
+	st, err := svc.SubmitSpecs(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.cache.add(key, agg.NewSummary())
+	if done, _ := svc.queue.get(st.ID); !done.waitTerminal(context.Background()) {
+		t.Fatal("identical sweep never finished")
+	}
 
 	jb := newJob("jx", specs, false)
-	jb.finish(JobFailed, "canceled")
+	jb.finish(JobFailed, "canceled", nil)
 	if _, err := svc.summaryOf(jb); err == nil {
-		t.Fatal("failed job must refuse its summary even on a cache hit")
-	}
-	if hits := svc.summaryHits.Value(); hits != 0 {
-		t.Fatalf("refusal must not count as a summary hit, got %d", hits)
+		t.Fatal("failed job must refuse its summary")
 	}
 }
 
@@ -320,8 +347,6 @@ func TestSummaryEnvelopeBytes(t *testing.T) {
 
 	ids := []string{"j000042", "odd<&>id", `q"uote\back`, "sep\u2028\u2029", "bad\xffutf8", "ünï", "ctl\x01\t"}
 	for i, id := range ids {
-		// Distinct specs per job, so each serves its own summary rather
-		// than an earlier job's cache entry.
 		specs, err := spec.SweepDef{Families: []string{"ring"}, Sizes: []int{6 + i}, Teams: []spec.Team{{Labels: []int{1, 2}}}}.Specs()
 		if err != nil {
 			t.Fatal(err)
@@ -331,11 +356,10 @@ func TestSummaryEnvelopeBytes(t *testing.T) {
 			&sim.RunResult{Rounds: 10 + i, SteppedRounds: 3, Moves: 40}, nil, time.Duration(i+1)*time.Millisecond)
 		sum.Observe(agg.Key{Family: "ring", N: 6, K: 2, Algo: "known"}, nil, errors.New("failed run"), time.Microsecond)
 		jb := newJob(id, specs, true)
-		jb.state = JobDone
-		jb.completed = len(specs)
-		jb.summary = sum
-		jb.dequeued = true
-		svc.queue.install(jb)
+		jb.finish(JobDone, "", sum)
+		if err := svc.queue.add(jb); err != nil {
+			t.Fatal(err)
+		}
 
 		get := func(query string) []byte {
 			t.Helper()
@@ -353,10 +377,9 @@ func TestSummaryEnvelopeBytes(t *testing.T) {
 			}
 			return body
 		}
-		first := get("") // stores the summary under its key; later serves hit
 		resp, found, err := svc.JobSummary(id)
-		if !found || err != nil || !resp.Cached {
-			t.Fatalf("job %q: JobSummary found=%v cached=%v err=%v", id, found, resp.Cached, err)
+		if !found || err != nil {
+			t.Fatalf("job %q: JobSummary found=%v err=%v", id, found, err)
 		}
 		var want bytes.Buffer
 		if err := json.NewEncoder(&want).Encode(resp); err != nil {
@@ -364,14 +387,6 @@ func TestSummaryEnvelopeBytes(t *testing.T) {
 		}
 		if got := get(""); !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("job %q: summary body\n%q\nwant json.NewEncoder's\n%q", id, got, want.Bytes())
-		}
-		resp.Cached = false
-		want.Reset()
-		if err := json.NewEncoder(&want).Encode(resp); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first, want.Bytes()) {
-			t.Errorf("job %q: first summary body\n%q\nwant\n%q", id, first, want.Bytes())
 		}
 		canon, err := sum.CanonicalJSON()
 		if err != nil {

@@ -99,10 +99,10 @@
 // each worker folds locally and the merged summary is bit-identical
 // regardless of parallelism (Summary.CanonicalJSON; wall time, the one
 // machine-decided metric, is excluded from that guarantee). The same
-// artifact is served by gatherd: GET /v1/jobs/{id}/summary, cached under a
-// key derived from the sweep's specs (SweepSummaryKey), and sweeps
-// submitted with ?summary=only never retain raw rows at all. See DESIGN.md
-// §9 and the Summarize example.
+// artifact is served by gatherd: GET /v1/jobs/{id}/summary, under a key
+// derived from the sweep's specs (SweepSummaryKey), and sweeps submitted
+// with ?summary=only never retain raw rows at all. See DESIGN.md §9 and
+// the Summarize example.
 //
 // # Simulation as a service
 //
@@ -278,9 +278,9 @@ var (
 	SummarizeScenarios = agg.SummarizeScenarios
 	// SummaryKeyOf derives a spec's group key (family, n, k, algorithm).
 	SummaryKeyOf = agg.KeyOf
-	// SweepSummaryKey returns the content address a sweep's summary is
-	// cached under: the hash of a domain tag plus every spec's canonical
-	// encoding, in order.
+	// SweepSummaryKey returns the content address of a sweep's summary:
+	// the hash of a domain tag plus every spec's canonical encoding, in
+	// order.
 	SweepSummaryKey = service.SweepSummaryKey
 )
 

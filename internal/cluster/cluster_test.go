@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -279,10 +280,13 @@ func TestCoordinatorDaemonEndToEnd(t *testing.T) {
 // every worker rejects, the sweep fails with the backend's message rather
 // than spinning.
 func TestClusterRejectedChunkReroutes(t *testing.T) {
+	refused := make(chan struct{}) // closed on the first rejection
+	var refuseOnce sync.Once
 	newRejecter := func(submits *atomic.Int64) *httptest.Server {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.Method == http.MethodPost {
 				submits.Add(1)
+				refuseOnce.Do(func() { close(refused) })
 				http.Error(w, `{"error":"queue backlog full"}`, http.StatusUnprocessableEntity)
 				return
 			}
@@ -299,7 +303,22 @@ func TestClusterRejectedChunkReroutes(t *testing.T) {
 	specs := testSweep(t)[:8]
 	chunks := len(sched.Planner{}.PlanSpecs(specs, 2))
 	var submits atomic.Int64
-	ws := []*Worker{fastWorker(newRejecter(&submits).URL), fastWorker(newBackend(t))}
+	// The healthy worker could drain both home queues before the
+	// rejecter's first claim, so its submissions wait, for at most 5 s,
+	// until the rejecter has refused a chunk.
+	svc := service.New(service.Config{})
+	inner := svc.Handler()
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			select {
+			case <-refused:
+			case <-time.After(5 * time.Second):
+			}
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { healthy.Close(); svc.Close() })
+	ws := []*Worker{fastWorker(newRejecter(&submits).URL), fastWorker(healthy.URL)}
 	sum, err := NewCoordinator(ws...).SummarizeSpecs(context.Background(), specs)
 	if err != nil {
 		t.Fatalf("sweep with one rejecting worker: %v", err)
